@@ -14,17 +14,16 @@
 //    O(n) recency scans and O(n) retroactive scans.
 //
 // Counters per exported row: appends_per_sec (steady-state transactions
-// audited per second), fallback_appends (OnlineChecker's hashed-fallback
-// tripwire — CI fails if this is ever nonzero), host_cpus, and on the
-// incremental runs speedup_vs_hashed / speedup_vs_recompile (the baselines
-// run first in the same process). BM_OnlineObsOverhead runs the block=100
+// audited per second), host_cpus, and on the incremental runs
+// speedup_vs_hashed / speedup_vs_recompile (the baselines run first in the
+// same process). BM_OnlineObsOverhead runs the block=100
 // configuration with the metrics registry alternately enabled and disabled
 // in paired halves and exports obs_overhead_pct — the instrumented-vs-off
 // delta CI gates at ≤5%. Export with
 //   --benchmark_format=json > BENCH_checker_online.json
 //
 // When CROOKS_OBS_METRICS_JSON names a file, the process's final metrics
-// scrape (obs::Registry JSON) is written there on exit — the CI fallback
+// scrape (obs::Registry JSON) is written there on exit — the CI metrics
 // gate asserts on that scrape instead of parsing per-row bench counters.
 #include <benchmark/benchmark.h>
 
@@ -70,12 +69,10 @@ std::map<std::string, double>& baselines() {
   return b;
 }
 
-void record(benchmark::State& state, double secs_per_iter, std::size_t appends,
-            std::uint64_t fallback) {
+void record(benchmark::State& state, double secs_per_iter, std::size_t appends) {
   state.SetItemsProcessed(static_cast<std::int64_t>(appends) *
                           static_cast<std::int64_t>(state.iterations()));
   state.counters["appends_per_sec"] = static_cast<double>(appends) / secs_per_iter;
-  state.counters["fallback_appends"] = static_cast<double>(fallback);
   state.counters["host_cpus"] = std::thread::hardware_concurrency();
 }
 
@@ -92,7 +89,7 @@ void BM_OnlineHashed(benchmark::State& state) {
   }
   const double secs_per_iter = secs / static_cast<double>(state.iterations());
   baselines()["Hashed"] = secs_per_iter;
-  record(state, secs_per_iter, txns.size(), 0);
+  record(state, secs_per_iter, txns.size());
 }
 BENCHMARK(BM_OnlineHashed)->UseRealTime();
 
@@ -116,7 +113,7 @@ void BM_OnlineFreshRecompile(benchmark::State& state) {
   }
   const double secs_per_iter = secs / static_cast<double>(state.iterations());
   baselines()["FreshRecompile"] = secs_per_iter;
-  record(state, secs_per_iter, all.size(), 0);
+  record(state, secs_per_iter, all.size());
 }
 BENCHMARK(BM_OnlineFreshRecompile)->Arg(100)->UseRealTime();
 
@@ -126,7 +123,6 @@ void BM_OnlineIncremental(benchmark::State& state) {
   const auto block = static_cast<std::size_t>(state.range(0));
   std::vector<model::Transaction> all(txns.begin(), txns.end());
   double secs = 0;
-  std::uint64_t fallback = 0;
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     checker::OnlineChecker chk;
@@ -136,10 +132,9 @@ void BM_OnlineIncremental(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(chk.all_ok());
     secs += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    fallback += chk.stats().hashed_fallback_appends;
   }
   const double secs_per_iter = secs / static_cast<double>(state.iterations());
-  record(state, secs_per_iter, all.size(), fallback);
+  record(state, secs_per_iter, all.size());
   if (baselines().count("Hashed")) {
     state.counters["speedup_vs_hashed"] = baselines()["Hashed"] / secs_per_iter;
   }
@@ -195,7 +190,7 @@ void BM_OnlineObsOverhead(benchmark::State& state) {
   obs::set_enabled(true);
   // Two instrumented audits per iteration: halve for a per-audit figure.
   const double iters = static_cast<double>(state.iterations());
-  record(state, secs_on / (2 * iters), all.size(), 0);
+  record(state, secs_on / (2 * iters), all.size());
   if (!ratios.empty()) {
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
@@ -211,8 +206,8 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
-  // The fallback tripwire and the rest of the online series live in the
-  // metrics registry; export the final scrape for the CI gate.
+  // The online series live in the metrics registry; export the final scrape
+  // for the CI gate.
   if (const char* path = std::getenv("CROOKS_OBS_METRICS_JSON")) {
     std::ofstream out(path);
     out << crooks::obs::Registry::global().json() << "\n";

@@ -174,11 +174,10 @@ std::string fingerprint(const AuditRun& run) {
        << st.explanation << '\n';
   }
   const checker::OnlineChecker::Stats& s = r.checker_stats;
-  os << s.blocks << ' ' << s.compiled_appends << ' '
-     << s.hashed_fallback_appends << ' ' << s.duplicates_ignored << ' '
-     << s.ops_evaluated << ' ' << s.direct_appends << ' ' << s.retired_txns
-     << ' ' << s.retired_ops << ' ' << s.window_folds << ' '
-     << s.past_window_reads << ' ' << s.past_window_checks << '\n';
+  os << s.blocks << ' ' << s.compiled_appends << ' ' << s.duplicates_ignored
+     << ' ' << s.ops_evaluated << ' ' << s.retired_txns << ' ' << s.retired_ops
+     << ' ' << s.window_folds << ' ' << s.past_window_reads << ' '
+     << s.past_window_checks << '\n';
   os << run.forensics;
   return os.str();
 }

@@ -114,8 +114,6 @@ void BM_WindowedSoak(benchmark::State& state) {
     state.counters["window_folds"] = static_cast<double>(st.window_folds);
     state.counters["lossy_evaluations"] =
         static_cast<double>(st.past_window_reads + st.past_window_checks);
-    state.counters["fallback_appends"] =
-        static_cast<double>(st.hashed_fallback_appends);
     state.counters["host_cpus"] = std::thread::hardware_concurrency();
   }
 }

@@ -37,13 +37,6 @@ obs::Histogram& online_block_seconds() {
       "Latency of one online ingest (compile delta + evaluate block)");
   return h;
 }
-obs::Counter& online_fallback_total() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "crooks_online_fallback_appends_total",
-      "Transactions served from the pre-compile hashed path; must stay 0 "
-      "(every append compiles) — CI gates on this series");
-  return c;
-}
 obs::Counter& online_retired_txns_total() {
   static obs::Counter& c = obs::Registry::global().counter(
       "crooks_online_retired_txns_total",
@@ -116,6 +109,10 @@ void count_violation(ct::IsolationLevel level, SessionId session) {
       .inc();
 }
 
+std::uint16_t level_bit(ct::IsolationLevel l) {
+  return static_cast<std::uint16_t>(1u << static_cast<unsigned>(l));
+}
+
 /// Sorted-vector intersection: keep only elements of v present in `keep`.
 void intersect_sorted(std::vector<std::size_t>& v,
                       const std::vector<std::size_t>& keep) {
@@ -130,23 +127,15 @@ void intersect_sorted(std::vector<std::size_t>& v,
 
 OnlineChecker::OnlineChecker(std::vector<IsolationLevel> levels) {
   for (IsolationLevel l : levels) statuses_.emplace(l, LevelStatus{});
-  weak_only_ = true;
-  for (const auto& [l, s] : statuses_) {
-    if (l != IsolationLevel::kReadUncommitted &&
-        l != IsolationLevel::kReadCommitted &&
-        l != IsolationLevel::kReadAtomic && l != IsolationLevel::kPSI) {
-      weak_only_ = false;
-      break;
-    }
-  }
+  interval_ends_ = std::any_of(statuses_.begin(), statuses_.end(), [](const auto& e) {
+    return e.first != IsolationLevel::kReadUncommitted &&
+           e.first != IsolationLevel::kReadCommitted &&
+           e.first != IsolationLevel::kReadAtomic && e.first != IsolationLevel::kPSI;
+  });
 }
 
 OnlineChecker::OnlineChecker(TrackAssignedTag, IsolationLevel fallback)
-    : assigned_mode_(true), assigned_fallback_(fallback) {
-  // A later block may annotate any level, so the weak-only direct path (and
-  // its skipped PREC/interval bookkeeping) is never safe here.
-  weak_only_ = false;
-}
+    : assigned_mode_(true), assigned_fallback_(fallback) {}
 
 const OnlineChecker::LevelStatus& OnlineChecker::status(IsolationLevel level) const {
   return statuses_.at(level);
@@ -233,13 +222,6 @@ std::size_t OnlineChecker::append_all(const model::TransactionSet& txns) {
   return append_all(std::span<const Transaction>(block));
 }
 
-std::size_t OnlineChecker::append_all(const model::CompiledHistory& ch) {
-  std::vector<Transaction> block;
-  block.reserve(ch.size());
-  for (TxnIdx d = 0; d < ch.size(); ++d) block.push_back(ch.txns().at(d));
-  return append_all(std::span<const Transaction>(block));
-}
-
 void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   obs::TraceSpan span("online.ingest");
   obs::ScopedTimer timer(online_block_seconds());
@@ -248,9 +230,6 @@ void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   if (obs::enabled()) {
     online_blocks_total().inc();
     online_txns_total().inc(delta.count);
-    // Register the tripwire series so it appears (at 0) in every scrape the
-    // bench exports; a future fallback path must inc() it.
-    online_fallback_total();
   }
   span.field("first", static_cast<std::uint64_t>(delta.first))
       .field("count", static_cast<std::uint64_t>(delta.count))
@@ -258,267 +237,87 @@ void OnlineChecker::ingest(const model::CompiledDelta& delta) {
   timelines_.resize(stream_.key_count());
   max_dropped_pos_.resize(stream_.key_count(), 0);
 
-  if (weak_only_) {
-    // Every tracked level decides on read-state starts alone — skip the
-    // per-op interval construction entirely.
-    for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) {
-      ingest_weak_txn(d);
-    }
-    maybe_retire();
-    return;
-  }
-
-  // Evaluate the block's transactions one by one in dense (= apply) order:
-  // when transaction d is evaluated only [0, d) is installed, so "has the
-  // observed writer been applied yet" is the dense compare `writer < d` —
-  // exact for prefix writers, earlier block members, and intra-block forward
-  // references alike.
-  for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) {
-    Placed p;
-    p.state = static_cast<StateIndex>(d) + 1;
-    const StateIndex parent = p.state - 1;
-    const model::OpsView cops = stream_.ops(d);
-    stats_.ops_evaluated += cops.size();
-    p.ops.reserve(cops.size());
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0) {
-        p.ops.push_back({{0, parent}, false});
-        continue;
-      }
-      if ((m & model::kOpPhantom) != 0) {
-        p.ops.push_back({{0, -1}, false});
-        continue;
-      }
-      if ((m & model::kOpPositionalInternal) != 0) {
-        p.ops.push_back((m & model::kOpSelfWriter) != 0
-                            ? OpView{{0, parent}, true}
-                            : OpView{{0, -1}, true});
-        continue;
-      }
-      if ((m & model::kOpSelfWriter) != 0) {
-        p.ops.push_back({{0, -1}, false});
-        continue;
-      }
-      StateIndex version_pos = 0;
-      if ((m & model::kOpInitWriter) == 0) {
-        if ((m & (model::kOpUnknownWriter | model::kOpWriterMissesKey)) != 0 ||
-            cops.writer(i) >= d) {  // writer not applied yet: reads from the future
-          p.ops.push_back({{0, -1}, false});
-          continue;
-        }
-        version_pos = static_cast<StateIndex>(cops.writer(i)) + 1;
-      }
-      const model::KeyIdx k = cops.key(i);
-      // Folds drop a key's inner retired versions. A read at or above the
-      // largest dropped position reconstructs its interval exactly from the
-      // kept entries; below it the true next-write may be gone, the interval
-      // comes out too permissive, and every downstream clause errs on the
-      // lenient side — count the one-sided evaluation.
-      if (version_pos < max_dropped_pos_[k]) {
-        ++stats_.past_window_reads;
-        if (obs::enabled()) online_past_reads_total().inc();
-      }
-      const auto* tl = timeline_of(k);
-      StateIndex next_write = parent + 2;
-      if (tl != nullptr) {
-        auto it = std::upper_bound(
-            tl->begin(), tl->end(), version_pos,
-            [](StateIndex v, const auto& en) { return v < en.first; });
-        if (it != tl->end()) next_write = it->first;
-      }
-      p.ops.push_back({{version_pos, std::min(next_write - 1, parent)}, false});
-    }
-
-    commit_placed(d, std::move(p));
-  }
+  // Evaluate the block's transactions one by one in dense (= apply) order.
+  for (TxnIdx d = delta.first; d < delta.first + delta.count; ++d) evaluate(d);
   maybe_retire();
 }
 
-void OnlineChecker::ingest_weak_txn(TxnIdx d) {
+void OnlineChecker::evaluate(TxnIdx d) {
+  // When d is evaluated only [0, d) is installed, so "has the observed
+  // writer been applied yet" is the dense compare `writer < d` — exact for
+  // prefix writers, earlier block members, and intra-block forward
+  // references alike. d installs state d + 1; its parent is state d.
+  const StateIndex parent = static_cast<StateIndex>(d);
   const model::OpsView cops = stream_.ops(d);
   stats_.ops_evaluated += cops.size();
-  ++stats_.direct_appends;
 
-  // Per-op read-state starts from flags and dense compares alone. The start
-  // is exactly `rs.first` of the general path: 0 for writes, phantoms,
-  // internals, and initial-version reads; writer+1 for applied member
-  // writers. PREREAD emptiness is likewise a flags fact — an applied member
-  // version's interval {writer+1, min(next_write-1, parent)} is never empty
-  // (upper_bound guarantees next_write > writer+1 and writer < d gives
-  // writer+1 ≤ parent), and the initial version's {0, ...} always admits 0.
-  weak_firsts_.assign(cops.size(), 0);
-  bool preread = true;
-  for (std::size_t i = 0; i < cops.size(); ++i) {
-    const std::uint8_t m = cops.flags(i);
-    if ((m & model::kOpWrite) != 0) continue;
-    if ((m & model::kOpPhantom) != 0) {
-      preread = false;
-      continue;
-    }
-    if ((m & model::kOpPositionalInternal) != 0) {
-      if ((m & model::kOpSelfWriter) == 0) preread = false;
-      continue;
-    }
-    if ((m & model::kOpSelfWriter) != 0) {
-      preread = false;
-      continue;
-    }
-    if ((m & model::kOpInitWriter) != 0) continue;
-    if ((m & (model::kOpUnknownWriter | model::kOpWriterMissesKey)) != 0 ||
-        cops.writer(i) >= d) {  // writer not applied yet: reads from the future
-      preread = false;
-      continue;
-    }
-    weak_firsts_[i] = static_cast<StateIndex>(cops.writer(i)) + 1;
-  }
-
-  if (!preread) {
-    for (IsolationLevel l : {IsolationLevel::kReadCommitted, IsolationLevel::kReadAtomic,
-                             IsolationLevel::kPSI}) {
-      if (tracking(l)) violate(l, d, "PREREAD fails in the apply order");
-    }
-  }
-
-  // Fractured reads (RA) — identical filters and iteration order to the
-  // general path, with rs.first read from the scratch array.
-  if (tracking(IsolationLevel::kReadAtomic) && preread) {
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m1 = cops.flags(i);
-      if ((m1 & model::kOpWrite) != 0 || cops.internal(i) ||
-          (m1 & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w1 = cops.writer(i);
-      if (w1 == model::kNoTxnIdx || w1 >= d) continue;  // not applied
-      for (std::size_t j = 0; j < cops.size(); ++j) {
-        if (cops.is_write(j) || cops.internal(j)) continue;
-        if (stream_.writes_key(w1, cops.key(j)) &&
-            weak_firsts_[i] > weak_firsts_[j]) {
-          violate(IsolationLevel::kReadAtomic, d,
-                  "fractured read across " + crooks::to_string(stream_.id_of(w1)) +
-                      "'s writes",
-                  w1);
-        }
-      }
-    }
-  }
-
-  Placed p;
-  p.state = static_cast<StateIndex>(d) + 1;
-
-  // CAUS-VIS (PSI). Under PREREAD every surviving read is of the initial or
-  // an applied member version, whose interval start decides timeline
-  // visibility: entry pos > rs.last ⟺ pos > rs.first, because entries at
-  // pos ≤ rs.last are exactly those at pos ≤ rs.first (upper_bound picks the
-  // first entry past the version) and no installed entry exceeds parent.
-  if (tracking(IsolationLevel::kPSI) && preread) {
-    p.prec.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0 || cops.internal(i) ||
-          (m & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w = cops.writer(i);
-      if (w != model::kNoTxnIdx && w < d) prec_absorb(p, w);
-    }
-    for (model::KeyIdx k : stream_.write_keys(d)) {
-      if (const auto* tl = timeline_of(k)) {
-        for (const auto& [pos, slot] : *tl) prec_absorb(p, slot);
-      }
-    }
-    for (std::size_t i = 0; i < cops.size(); ++i) {
-      if (cops.is_write(i) || cops.internal(i)) continue;
-      const model::KeyIdx k = cops.key(i);
-      // Dropped versions above this read's start may hide a missed write:
-      // one-sided, counted (same rule as the general path's intervals).
-      if (weak_firsts_[i] < max_dropped_pos_[k]) {
-        ++stats_.past_window_reads;
-        if (obs::enabled()) online_past_reads_total().inc();
-      }
-      if (const auto* tl = timeline_of(k)) {
-        for (const auto& [pos, slot] : *tl) {
-          if (pos > weak_firsts_[i] && prec_test(p, slot)) {
-            violate(IsolationLevel::kPSI, d,
-                    "CAUS-VIS fails: misses " +
-                        crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
-                        "'s write to " +
-                        crooks::to_string(stream_.keys().key_of(k)),
-                    static_cast<TxnIdx>(slot));
-          }
-        }
-      }
-    }
-  }
-
-  // Install — the tail of commit_placed. Retroactive inversions touch only
-  // the timed levels, which a weak-only checker never tracks.
-  for (model::KeyIdx k : stream_.write_keys(d)) {
-    timelines_[k].emplace_back(p.state, static_cast<std::size_t>(d));
-  }
-  const SessionId s = stream_.session(d);
-  if (s != kNoSession) session_states_[s].states.push_back(p.state);
-  max_start_applied_ = std::max(max_start_applied_, stream_.start_ts(d));
-  placed_bytes_ += placed_bytes(p);
-  txns_.push_back(std::move(p));
-}
-
-void OnlineChecker::commit_placed(TxnIdx d, Placed p) {
-  evaluate_new(d, p);
-  if (assigned_mode_) {
-    applied_mask_ |= static_cast<std::uint16_t>(
-        1u << static_cast<unsigned>(assigned_level_of(d)));
-  }
-  check_retroactive_inversions(d);
-
-  // Install.
-  for (model::KeyIdx k : stream_.write_keys(d)) {
-    timelines_[k].emplace_back(p.state, static_cast<std::size_t>(d));
-  }
-  const SessionId s = stream_.session(d);
-  if (s != kNoSession) session_states_[s].states.push_back(p.state);
-  max_start_applied_ = std::max(max_start_applied_, stream_.start_ts(d));
-  placed_bytes_ += placed_bytes(p);
-  txns_.push_back(std::move(p));
-}
-
-void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
-  const StateIndex parent = p.state - 1;
-  const model::OpsView cops = stream_.ops(d);
-  // Assigned mode evaluates exactly the transaction's own level: tracking()
-  // reads current_level_ for the rest of this call.
-  if (assigned_mode_) current_level_ = assigned_level_of(d);
-
+  // Read-state views. Each op's start comes from flags and dense compares
+  // alone: 0 for writes, internal reads and reads of the initial version,
+  // writer+1 for an applied member version. PREREAD emptiness is likewise a
+  // flags fact — an applied member version's interval {writer+1,
+  // min(next_write-1, parent)} is never empty (upper_bound guarantees
+  // next_write > writer+1 and writer < d gives writer+1 ≤ parent), and the
+  // initial version's {0, ...} always admits 0. Only the interval ENDS need
+  // the timeline binary search, and only SER and the SI family read them.
+  starts_.assign(cops.size(), 0);
   bool preread = true;
   StateIndex complete_lo = 0, complete_hi = parent;
-  for (const OpView& o : p.ops) {
-    if (o.rs.empty()) preread = false;
-    complete_lo = std::max(complete_lo, o.rs.first);
-    complete_hi = std::min(complete_hi, o.rs.last);
+  for (std::size_t i = 0; i < cops.size(); ++i) {
+    StateIndex version_pos = 0;
+    switch (cops.cls(i)) {
+      case model::OpClass::kWrite:
+      case model::OpClass::kReadInternal:
+        continue;  // {0, parent}
+      case model::OpClass::kReadNever:
+        preread = false;
+        continue;
+      case model::OpClass::kReadInitial:
+        break;
+      case model::OpClass::kReadExternal:
+        if (cops.writer(i) >= d) {  // writer not applied yet: reads from the future
+          preread = false;
+          continue;
+        }
+        version_pos = static_cast<StateIndex>(cops.writer(i)) + 1;
+        break;
+    }
+    starts_[i] = version_pos;
+    if (!interval_ends_) continue;
+    complete_lo = std::max(complete_lo, version_pos);
+    const model::KeyIdx k = cops.key(i);
+    // Folds drop a key's inner retired versions. A read at or above the
+    // largest dropped position reconstructs its interval exactly from the
+    // kept entries; below it the true next-write may be gone, the interval
+    // comes out too permissive, and every downstream clause errs on the
+    // lenient side — count the one-sided evaluation.
+    if (version_pos < max_dropped_pos_[k]) {
+      ++stats_.past_window_reads;
+      if (obs::enabled()) online_past_reads_total().inc();
+    }
+    if (const auto* tl = timeline_of(k)) {
+      auto it = std::upper_bound(
+          tl->begin(), tl->end(), version_pos,
+          [](StateIndex v, const auto& en) { return v < en.first; });
+      if (it != tl->end()) complete_hi = std::min(complete_hi, it->first - 1);
+    }
   }
-
   if (!preread) {
+    complete_hi = -1;  // an empty read-state set admits no state
     for (IsolationLevel l : {IsolationLevel::kReadCommitted, IsolationLevel::kReadAtomic,
                              IsolationLevel::kPSI}) {
-      if (tracking(l)) violate(l, d, "PREREAD fails in the apply order");
+      if (tracks(l, d)) violate(l, d, "PREREAD fails in the apply order");
     }
   }
 
-  // Fractured reads (RA).
-  if (tracking(IsolationLevel::kReadAtomic) && preread) {
+  // Fractured reads (RA). Under PREREAD the external reads are exactly the
+  // reads of an applied member writer.
+  if (preread && tracks(IsolationLevel::kReadAtomic, d)) {
     for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m1 = cops.flags(i);
-      if ((m1 & model::kOpWrite) != 0 || p.ops[i].internal ||
-          (m1 & model::kOpInitWriter) != 0) {
-        continue;
-      }
+      if (cops.cls(i) != model::OpClass::kReadExternal) continue;
       const TxnIdx w1 = cops.writer(i);
-      if (w1 == model::kNoTxnIdx || w1 >= d) continue;  // not applied
       for (std::size_t j = 0; j < cops.size(); ++j) {
-        if (cops.is_write(j) || p.ops[j].internal) continue;
-        if (stream_.writes_key(w1, cops.key(j)) &&
-            p.ops[i].rs.first > p.ops[j].rs.first) {
+        if (cops.is_write(j) || cops.internal(j)) continue;
+        if (stream_.writes_key(w1, cops.key(j)) && starts_[i] > starts_[j]) {
           violate(IsolationLevel::kReadAtomic, d,
                   "fractured read across " + crooks::to_string(stream_.id_of(w1)) +
                       "'s writes",
@@ -532,50 +331,79 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
   // Assigned mode builds the set for EVERY transaction (preread permitting):
   // a PSI-level transaction arriving in a later block absorbs its
   // predecessors' closures, whatever levels those ran at.
-  if ((tracking(IsolationLevel::kPSI) || assigned_mode_) && preread) {
-    p.prec.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
+  PrecSet p;
+  const bool psi = tracks(IsolationLevel::kPSI, d);
+  if (preread && (psi || assigned_mode_)) {
+    p.recent.grow(static_cast<std::size_t>(d) - prec_origin_ + 1);
     for (std::size_t i = 0; i < cops.size(); ++i) {
-      const std::uint8_t m = cops.flags(i);
-      if ((m & model::kOpWrite) != 0 || p.ops[i].internal ||
-          (m & model::kOpInitWriter) != 0) {
-        continue;
-      }
-      const TxnIdx w = cops.writer(i);
-      if (w != model::kNoTxnIdx && w < d) prec_absorb(p, w);
+      if (cops.cls(i) == model::OpClass::kReadExternal) prec_absorb(p, cops.writer(i));
     }
     for (model::KeyIdx k : stream_.write_keys(d)) {
       if (const auto* tl = timeline_of(k)) {
         for (const auto& [pos, slot] : *tl) prec_absorb(p, slot);
       }
     }
-    // The visibility check itself applies only when THIS transaction runs
-    // at PSI.
-    if (tracking(IsolationLevel::kPSI)) {
-      for (std::size_t i = 0; i < cops.size(); ++i) {
-        if (cops.is_write(i) || p.ops[i].internal) continue;
-        if (const auto* tl = timeline_of(cops.key(i))) {
-          for (const auto& [pos, slot] : *tl) {
-            if (pos > p.ops[i].rs.last && prec_test(p, slot)) {
-              violate(IsolationLevel::kPSI, d,
-                      "CAUS-VIS fails: misses " +
-                          crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
-                          "'s write to " +
-                          crooks::to_string(stream_.keys().key_of(cops.key(i))),
-                      static_cast<TxnIdx>(slot));
-            }
+  }
+  // The visibility check itself applies only when THIS transaction runs at
+  // PSI. Under PREREAD every surviving read is of the initial or an applied
+  // member version, whose interval start decides timeline visibility: entry
+  // pos > rs.last ⟺ pos > rs.first, because entries at pos ≤ rs.last are
+  // exactly those at pos ≤ rs.first (upper_bound picks the first entry past
+  // the version) and no installed entry exceeds parent.
+  if (preread && psi) {
+    for (std::size_t i = 0; i < cops.size(); ++i) {
+      if (cops.is_write(i) || cops.internal(i)) continue;
+      const model::KeyIdx k = cops.key(i);
+      // A start-only checker computed no interval ends, so the stale read
+      // is counted here, where its dropped versions may hide a missed write.
+      if (!interval_ends_ && starts_[i] < max_dropped_pos_[k]) {
+        ++stats_.past_window_reads;
+        if (obs::enabled()) online_past_reads_total().inc();
+      }
+      if (const auto* tl = timeline_of(k)) {
+        for (const auto& [pos, slot] : *tl) {
+          if (pos > starts_[i] && prec_test(p, slot)) {
+            violate(IsolationLevel::kPSI, d,
+                    "CAUS-VIS fails: misses " +
+                        crooks::to_string(stream_.id_of(static_cast<TxnIdx>(slot))) +
+                        "'s write to " +
+                        crooks::to_string(stream_.keys().key_of(k)),
+                    static_cast<TxnIdx>(slot));
           }
         }
       }
     }
   }
 
+  // A start-only checker tracks none of the levels with snapshot or
+  // real-time clauses.
+  if (interval_ends_) {
+    check_snapshot(d, complete_lo, complete_hi);
+    if (assigned_mode_) applied_mask_ |= level_bit(assigned_level_of(d));
+    check_retroactive_inversions(d);
+  }
+
+  // Install.
+  for (model::KeyIdx k : stream_.write_keys(d)) {
+    timelines_[k].emplace_back(parent + 1, static_cast<std::size_t>(d));
+  }
+  const SessionId s = stream_.session(d);
+  if (s != kNoSession) session_states_[s].states.push_back(parent + 1);
+  max_start_applied_ = std::max(max_start_applied_, stream_.start_ts(d));
+  prec_bytes_ += prec_bytes(p);
+  precs_.push_back(std::move(p));
+}
+
+void OnlineChecker::check_snapshot(TxnIdx d, StateIndex complete_lo,
+                                   StateIndex complete_hi) {
+  const StateIndex parent = static_cast<StateIndex>(d);
   // Serializability: the parent state must be complete.
   const bool parent_complete = complete_lo <= parent && complete_hi >= parent;
-  if (tracking(IsolationLevel::kSerializable) && !parent_complete) {
+  if (tracks(IsolationLevel::kSerializable, d) && !parent_complete) {
     violate(IsolationLevel::kSerializable, d,
             "parent state is not complete in the apply order");
   }
-  if (tracking(IsolationLevel::kStrictSerializable) && !parent_complete) {
+  if (tracks(IsolationLevel::kStrictSerializable, d) && !parent_complete) {
     violate(IsolationLevel::kStrictSerializable, d,
             "parent state is not complete in the apply order");
   }
@@ -609,8 +437,8 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
       if (assigned_mode_) {
         // Largest applied state whose generator time-precedes d. On a sorted
         // timed prefix this equals the binary-search count below; on a mixed
-        // prefix the set of real-time predecessors need not be a prefix, and
-        // the max is the correct snapshot lower bound.
+        // prefix the transactions that time-precede d need not form a
+        // prefix, and the max is the correct snapshot lower bound.
         StateIndex max_state = 0;
         for (TxnIdx q = 0; q < d; ++q) {
           if (stream_.commit_ts(q) != kNoTimestamp &&
@@ -641,7 +469,7 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
     return stream_.commit_ts(g) != kNoTimestamp && stream_.commit_ts(g) < start_t;
   };
   for (IsolationLevel level : si_family) {
-    if (!tracking(level) || !status_ok(level)) continue;
+    if (!tracks(level, d) || !status_ok(level)) continue;
     const bool timed = level != IsolationLevel::kAdyaSI;
     if (timed && !stream_.has_timestamps(d)) {
       violate(level, d, "requires the time oracle");
@@ -715,14 +543,14 @@ void OnlineChecker::evaluate_new(TxnIdx d, Placed& p) {
   }
 }
 
-void OnlineChecker::prec_absorb(Placed& p, std::size_t slot) {
+void OnlineChecker::prec_absorb(PrecSet& p, std::size_t slot) {
   prec_add(p, slot);
   if (slot >= placed_base_) {
-    const Placed& w = placed_of(slot);
+    const PrecSet& w = prec_of(slot);
     // Same origin on both sides, so the word-wise OR is a straight union;
     // w's bitset never exceeds p's (w placed earlier, p grown to cover d).
-    p.prec.recent.or_with(w.prec.recent);
-    for (std::size_t s : w.prec.old) prec_add(p, s);
+    p.recent.or_with(w.recent);
+    for (std::size_t s : w.old) prec_add(p, s);
     return;
   }
   // Retired base slot: its closure, restricted to still-testable slots,
@@ -742,18 +570,18 @@ void OnlineChecker::prec_absorb(Placed& p, std::size_t slot) {
 }
 
 void OnlineChecker::maybe_retire() {
-  if (!window_.enabled() || txns_.empty()) return;
+  if (!window_.enabled() || precs_.empty()) return;
   std::size_t target = static_cast<std::size_t>(-1);
   if (window_.max_resident_txns != 0) target = window_.max_resident_txns;
   if (window_.max_resident_bytes != 0) {
     const std::size_t est = resident_bytes();
     if (est > window_.max_resident_bytes) {
-      const std::size_t per = std::max<std::size_t>(est / txns_.size(), 1);
+      const std::size_t per = std::max<std::size_t>(est / precs_.size(), 1);
       target = std::min(
           target, std::max<std::size_t>(window_.max_resident_bytes / per, 16));
     }
   }
-  if (txns_.size() <= target) return;
+  if (precs_.size() <= target) return;
   std::size_t wm = stream_.size() - target;
   // Never retire a session's most recently applied transaction: a stalled
   // session pins the window (memory grows until it commits again) instead
@@ -807,9 +635,14 @@ void OnlineChecker::fold_to(TxnIdx upto) {
   for (std::size_t b : base_slots) {
     std::vector<std::size_t> closure;
     if (b >= placed_base_) {
-      const Placed& pb = placed_of(b);
-      for (std::size_t s : base_slots) {
-        if (s != b && prec_test(pb, s)) closure.push_back(s);
+      const PrecSet& pb = prec_of(b);
+      // An empty set has nothing to harvest. Every set is empty unless PSI
+      // is tracked or the checker is in assigned mode, and the scan below is
+      // O(base slots) per base slot: most of a weak checker's fold time.
+      if (pb.recent.size() != 0 || !pb.old.empty()) {
+        for (std::size_t s : base_slots) {
+          if (s != b && prec_test(pb, s)) closure.push_back(s);
+        }
       }
     } else if (auto it = base_prec_.find(b); it != base_prec_.end()) {
       closure = std::move(it->second);
@@ -838,27 +671,27 @@ void OnlineChecker::fold_to(TxnIdx upto) {
   // discarding the rest (they can never be tested again).
   const std::size_t new_origin = (M / 64) * 64;
   const std::size_t dwords = (new_origin - prec_origin_) / 64;
-  for (std::size_t i = erase_n; i < txns_.size(); ++i) {
-    Placed& p = txns_[i];
-    intersect_sorted(p.prec.old, base_slots);
+  for (std::size_t i = erase_n; i < precs_.size(); ++i) {
+    PrecSet& p = precs_[i];
+    intersect_sorted(p.old, base_slots);
     if (dwords != 0) {
-      p.prec.recent.drop_words(dwords, [&](std::size_t idx) {
+      p.recent.drop_words(dwords, [&](std::size_t idx) {
         const std::size_t slot = prec_origin_ + idx;
         if (std::binary_search(base_slots.begin(), base_slots.end(), slot)) {
-          auto it = std::lower_bound(p.prec.old.begin(), p.prec.old.end(), slot);
-          if (it == p.prec.old.end() || *it != slot) p.prec.old.insert(it, slot);
+          auto it = std::lower_bound(p.old.begin(), p.old.end(), slot);
+          if (it == p.old.end() || *it != slot) p.old.insert(it, slot);
         }
       });
     }
   }
 
   // 5. Reclaim the placed prefix and re-measure the resident estimate.
-  txns_.erase(txns_.begin(), txns_.begin() + static_cast<std::ptrdiff_t>(erase_n));
-  if (txns_.capacity() > 2 * txns_.size() + 1024) txns_.shrink_to_fit();
+  precs_.erase(precs_.begin(), precs_.begin() + static_cast<std::ptrdiff_t>(erase_n));
+  if (precs_.capacity() > 2 * precs_.size() + 1024) precs_.shrink_to_fit();
   placed_base_ = M;
   prec_origin_ = new_origin;
-  placed_bytes_ = 0;
-  for (const Placed& p : txns_) placed_bytes_ += placed_bytes(p);
+  prec_bytes_ = 0;
+  for (const PrecSet& p : precs_) prec_bytes_ += prec_bytes(p);
 
   // 6. Fold the compiled stream itself (op rows, masks, payloads, pending).
   const model::CompiledHistory::RetireStats rs = stream_.retire(upto);
@@ -871,13 +704,13 @@ void OnlineChecker::fold_to(TxnIdx upto) {
     online_retired_ops_total().inc(rs.ops);
     online_fold_txns_hist().observe(static_cast<double>(rs.txns));
     online_watermark_gauge().set(static_cast<std::int64_t>(M));
-    online_resident_txns_gauge().set(static_cast<std::int64_t>(txns_.size()));
+    online_resident_txns_gauge().set(static_cast<std::int64_t>(precs_.size()));
     online_resident_ops_gauge().set(
         static_cast<std::int64_t>(stream_.resident_ops()));
   }
   span.field("watermark", static_cast<std::uint64_t>(M))
       .field("retired", static_cast<std::uint64_t>(rs.txns))
-      .field("resident", static_cast<std::uint64_t>(txns_.size()));
+      .field("resident", static_cast<std::uint64_t>(precs_.size()));
 }
 
 void OnlineChecker::check_retroactive_inversions(TxnIdx d) {
@@ -890,54 +723,12 @@ void OnlineChecker::check_retroactive_inversions(TxnIdx d) {
   // on a monotone stream (the common case) this skips the O(n) scan entirely.
   if (!(commit_d < max_start_applied_)) return;
 
-  const TxnId late_id = stream_.id_of(d);
-  const SessionId late_session = stream_.session(d);
-
-  if (assigned_mode_) {
-    // An inversion hits the applied transaction q at q's OWN level, so the
-    // dispatch is per q, not per tracked level. applied_mask_ skips the scan
-    // when no applied transaction holds a real-time/session clause.
-    if (!assigned_status_.ok) return;
-    auto bit = [](IsolationLevel l) {
-      return static_cast<std::uint16_t>(1u << static_cast<unsigned>(l));
-    };
-    if ((applied_mask_ & (bit(IsolationLevel::kStrictSerializable) |
-                          bit(IsolationLevel::kStrongSI) |
-                          bit(IsolationLevel::kSessionSI))) == 0) {
-      return;
-    }
-    // Scan the WHOLE applied stream, retired prefix included: timestamps,
-    // sessions, ids and level tags are retained columns, so retroactive
-    // inversions stay exact past the watermark.
-    for (TxnIdx q = 0; q < d; ++q) {
-      const IsolationLevel lq = assigned_level_of(q);
-      if (lq != IsolationLevel::kStrictSerializable &&
-          lq != IsolationLevel::kStrongSI && lq != IsolationLevel::kSessionSI) {
-        continue;
-      }
-      if (!stream_.time_precedes(d, q)) continue;
-      if (lq == IsolationLevel::kStrictSerializable) {
-        violate(lq, q,
-                "real-time predecessor " + crooks::to_string(late_id) +
-                    " was applied after it",
-                d);
-      } else if (lq == IsolationLevel::kStrongSI) {
-        violate(lq, q,
-                "snapshot misses " + crooks::to_string(late_id) +
-                    ", which committed before it started",
-                d);
-      } else if (stream_.session(q) != kNoSession &&
-                 stream_.session(q) == late_session) {
-        violate(lq, q,
-                "session predecessor " + crooks::to_string(late_id) +
-                    " was applied after it",
-                d);
-      }
-    }
-    return;
-  }
-
+  // An inversion hits the applied transaction q at the levels q is
+  // evaluated at: every tracked level in uniform mode, q's OWN level in
+  // assigned mode — where applied_mask_ skips the scan when no applied
+  // transaction holds a real-time/session clause.
   auto live = [&](IsolationLevel l) {
+    if (assigned_mode_) return assigned_status_.ok && (applied_mask_ & level_bit(l)) != 0;
     auto it = statuses_.find(l);
     return it != statuses_.end() && it->second.ok;
   };
@@ -946,22 +737,26 @@ void OnlineChecker::check_retroactive_inversions(TxnIdx d) {
     return;
   }
 
-  // As above: the scan runs over retained columns, exact past the watermark.
+  const TxnId late_id = stream_.id_of(d);
+  const SessionId late_session = stream_.session(d);
+  // Scan the WHOLE applied stream, retired prefix included: timestamps,
+  // sessions, ids and level tags are retained columns, so retroactive
+  // inversions stay exact past the watermark.
   for (TxnIdx q = 0; q < d; ++q) {
     if (!stream_.time_precedes(d, q)) continue;
-    if (tracking(IsolationLevel::kStrictSerializable)) {
+    if (tracks(IsolationLevel::kStrictSerializable, q)) {
       violate(IsolationLevel::kStrictSerializable, q,
               "real-time predecessor " + crooks::to_string(late_id) +
                   " was applied after it",
               d);
     }
-    if (tracking(IsolationLevel::kStrongSI)) {
+    if (tracks(IsolationLevel::kStrongSI, q)) {
       violate(IsolationLevel::kStrongSI, q,
               "snapshot misses " + crooks::to_string(late_id) +
                   ", which committed before it started",
               d);
     }
-    if (tracking(IsolationLevel::kSessionSI) && stream_.session(q) != kNoSession &&
+    if (tracks(IsolationLevel::kSessionSI, q) && stream_.session(q) != kNoSession &&
         stream_.session(q) == late_session) {
       violate(IsolationLevel::kSessionSI, q,
               "session predecessor " + crooks::to_string(late_id) +

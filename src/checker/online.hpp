@@ -13,13 +13,14 @@
 //
 // The checker owns a growable CompiledHistory and feeds every appended block
 // through CompiledHistory::extend, so the whole stream — first block or
-// ten-thousandth — is evaluated on compiled ops: writer recency is a dense
-// integer compare, phantom/internal/unknown-writer branches are precomputed
-// flags, and the real-time recency clauses use the monotone commit order the
-// timed levels themselves enforce (binary search instead of an O(n) scan).
-// There is no hashed fallback path; stats().hashed_fallback_appends exists
-// purely as a regression tripwire (asserted == 0 by the differential suite
-// and by CI's bench gate). The frozen per-transaction hashed monitor lives in
+// ten-thousandth — is evaluated on compiled ops by one routine: writer
+// recency is a dense integer compare, phantom/internal/unknown-writer
+// branches are precomputed flags, and the real-time recency clauses use the
+// monotone commit order the timed levels themselves enforce (binary search
+// instead of an O(n) scan). The routine has a start-only mode, fixed at
+// construction: a checker whose levels all decide on read-state STARTS (RU,
+// RC, RA, PSI) skips the per-read timeline binary search that interval ENDS
+// need (Serializable, Strict Serializable, the SI family, assigned mode). The frozen per-transaction hashed monitor lives in
 // checker::reference::OnlineCheckerHashed for differential testing and as
 // the bench baseline.
 //
@@ -67,8 +68,8 @@ class OnlineChecker {
   /// `level=` annotation (falling back to `fallback` when unannotated) and
   /// maintain ONE status — the streaming analogue of
   /// ct::test_execution(LevelAssignment, ...). Because a later block may
-  /// annotate any level, this mode always takes the general ingest path
-  /// (never the weak-only direct path), builds every transaction's PREC set
+  /// annotate any level, this mode always computes interval ends (it is
+  /// never start-only), builds every transaction's PREC set
   /// (a future PSI-level transaction needs its predecessors' closures), and
   /// drops the sorted-commit-prefix shortcut of the timed recency clauses —
   /// untimed transactions interleave freely, so real-time predecessors are
@@ -90,8 +91,8 @@ class OnlineChecker {
   /// base (per-key latest retired version, per-session recency marker,
   /// retired PREC closures restricted to still-testable slots, the compiled
   /// history's retained scalar/footprint columns), and the per-transaction
-  /// state — placed ops, PREC bitsets, compiled op rows, transaction
-  /// payloads — is reclaimed. Memory then stays O(window + keys + sessions)
+  /// state — PREC bitsets, compiled op rows, transaction payloads — is
+  /// reclaimed. Memory then stays O(window + keys + sessions)
   /// for an arbitrarily long stream.
   ///
   /// The windowed monitor is ONE-SIDED: it never reports a violation an
@@ -120,15 +121,15 @@ class OnlineChecker {
   /// First dense index NOT yet retired (== number of retired transactions).
   model::TxnIdx watermark() const { return stream_.retired(); }
   /// Transactions currently resident (total appended = size()).
-  std::size_t resident_txns() const { return txns_.size(); }
+  std::size_t resident_txns() const { return precs_.size(); }
   /// Compiled operations currently resident in the stream.
   std::size_t resident_ops() const { return stream_.resident_ops(); }
-  /// Rough resident-footprint estimate in bytes (placed state + compiled
+  /// Rough resident-footprint estimate in bytes (PREC closures + compiled
   /// rows + transaction payloads). Drives the max_resident_bytes limit; the
   /// retained per-transaction summary columns (~100 B/txn, grow with the
   /// whole stream) are intentionally excluded — a window cannot bound them.
   std::size_t resident_bytes() const {
-    return placed_bytes_ + txns_.size() * kTxnBytesEst +
+    return prec_bytes_ + precs_.size() * kTxnBytesEst +
            stream_.resident_ops() * kOpBytesEst;
   }
 
@@ -141,27 +142,20 @@ class OnlineChecker {
   struct Stats {
     std::uint64_t blocks = 0;            // extend() calls (append() = block of 1)
     std::uint64_t compiled_appends = 0;  // transactions evaluated on compiled deltas
-    /// Transactions evaluated on the pre-compile hashed path. Always 0 —
-    /// every call path compiles — kept as a regression tripwire (CI fails the
-    /// bench gate if it ever goes positive).
-    std::uint64_t hashed_fallback_appends = 0;
     std::uint64_t duplicates_ignored = 0;
     /// Compiled operations whose read-state views were computed — the online
     /// analogue of CheckResult::nodes_explored, so the streaming monitor's
     /// effort is comparable with the offline engines' on one dashboard.
     std::uint64_t ops_evaluated = 0;
-    /// Transactions evaluated on the weak-level direct path (every tracked
-    /// level in {RU, RC, RA, PSI}): no timeline binary searches, no per-op
-    /// interval storage. Equals compiled_appends on a weak-only checker and
-    /// 0 when any stronger level is tracked.
-    std::uint64_t direct_appends = 0;
     // --- Windowed mode (all 0 when no window is set) ---
     std::uint64_t retired_txns = 0;  // transactions folded past the watermark
     std::uint64_t retired_ops = 0;   // compiled op rows reclaimed
     std::uint64_t window_folds = 0;  // retirement epochs
     /// Reads of a version old enough that writes BETWEEN it and the window
     /// were dropped: the read-state interval (and the CAUS-VIS timeline
-    /// walk) may be too permissive. The only read-side lossy event.
+    /// walk) may be too permissive. The only read-side lossy event. Counted
+    /// per stale read whose interval end is computed, or, on a start-only
+    /// checker, per stale read that CAUS-VIS walks (starts never change).
     std::uint64_t past_window_reads = 0;
     /// The remaining lossy evaluations: a Session-SI lower bound that may
     /// hide behind the retained retired-session marker, or a PREC absorb of
@@ -178,13 +172,9 @@ class OnlineChecker {
   /// Append a block of transactions in declaration order, returning how many
   /// were accepted (duplicates are ignored, not errors). The block is
   /// compiled as one CompiledDelta — fresh checker or not, every transaction
-  /// is evaluated on compiled ops; there is no fallback to the hashed path.
+  /// is evaluated on compiled ops.
   std::size_t append_all(std::span<const model::Transaction> block);
   std::size_t append_all(const model::TransactionSet& txns);
-  /// Compatibility overload: audits ch's transactions in dense order. The
-  /// checker re-compiles them into its own stream (ch's dense indices need
-  /// not match the stream's).
-  std::size_t append_all(const model::CompiledHistory& ch);
 
   const LevelStatus& status(ct::IsolationLevel level) const;
   bool all_ok() const;
@@ -222,27 +212,17 @@ class OnlineChecker {
   }
 
  private:
-  struct OpView {
-    StateInterval rs;
-    bool internal = false;
-  };
-
-  /// A PREC closure that survives window folds. `recent` is a bitset over
-  /// slots ≥ prec_origin_ (bit i ⇔ slot prec_origin_ + i); `old` is a small
-  /// sorted vector of retired BASE slots below the origin — the only retired
-  /// slots that can still be tested (they appear in a timeline as a key's
-  /// latest retired writer). A fold shifts the origin by whole words
-  /// (DynamicBitset::drop_words), harvesting dropped closure members that
-  /// are still base slots into `old` and pruning the rest.
+  /// A transaction's PREC closure, populated only when PSI is tracked (or in
+  /// assigned mode) and kept so that it survives window folds. `recent` is a
+  /// bitset over slots ≥ prec_origin_ (bit i ⇔ slot prec_origin_ + i); `old`
+  /// is a small sorted vector of retired BASE slots below the origin — the
+  /// only retired slots that can still be tested (they appear in a timeline
+  /// as a key's latest retired writer). A fold shifts the origin by whole
+  /// words (DynamicBitset::drop_words), harvesting dropped closure members
+  /// that are still base slots into `old` and pruning the rest.
   struct PrecSet {
     DynamicBitset recent;
     std::vector<std::size_t> old;
-  };
-
-  struct Placed {
-    StateIndex state = 0;  // 1-based; == dense index + 1
-    std::vector<OpView> ops;
-    PrecSet prec;  // populated only when PSI is tracked (or assigned mode)
   };
 
   /// Per-session recency record. `states` holds RESIDENT applied states
@@ -256,11 +236,10 @@ class OnlineChecker {
     bool dropped_any = false;
   };
 
-  /// Is `level` evaluated for the transaction currently being ingested?
-  /// Uniform mode: a fixed set. Assigned mode: exactly the transaction's own
-  /// level (current_level_, set at the top of evaluate_new).
-  bool tracking(ct::IsolationLevel level) const {
-    return assigned_mode_ ? level == current_level_ : statuses_.contains(level);
+  /// Is `level` evaluated for dense transaction d? Uniform mode: a fixed
+  /// set. Assigned mode: exactly d's own level.
+  bool tracks(ct::IsolationLevel level, model::TxnIdx d) const {
+    return assigned_mode_ ? level == assigned_level_of(d) : statuses_.contains(level);
   }
   bool status_ok(ct::IsolationLevel level) const {
     return assigned_mode_ ? assigned_status_.ok : statuses_.at(level).ok;
@@ -279,55 +258,51 @@ class OnlineChecker {
   void violate(ct::IsolationLevel level, model::TxnIdx d, std::string why,
                model::TxnIdx other = model::kNoTxnIdx);
 
-  /// Shared tail of every append path: compute the read-state views of the
-  /// block's transactions against the stream prefix, evaluate their commit
-  /// tests, and install them (timelines, session index, recency maxima).
+  /// Shared tail of every append path: evaluate the block's transactions in
+  /// apply order, then give the window a chance to fold.
   void ingest(const model::CompiledDelta& delta);
-  /// Weak-level direct path, taken when every tracked level is in
-  /// {RU, RC, RA, PSI}. For those levels only the read-state *start* of each
-  /// op matters: PREREAD emptiness is a pure flags/dense-index fact (a member
-  /// version's interval is never empty), the RA fracture compares rs.first,
-  /// and on a timeline entry `pos > rs.last` ⟺ `pos > rs.first`. So the
-  /// per-op timeline binary search and interval storage both disappear;
-  /// verdicts and explanations are byte-identical to the general path.
-  void ingest_weak_txn(model::TxnIdx d);
-  void evaluate_new(model::TxnIdx d, Placed& p);
+  /// The one per-transaction routine: compute d's read-state views against
+  /// the installed prefix [0, d), evaluate its commit tests, and install it
+  /// (timelines, session index, recency maxima).
+  void evaluate(model::TxnIdx d);
+  /// The clauses that read interval ends — SER's complete parent state and
+  /// the SI family's snapshot bounds — given the intersection
+  /// [complete_lo, complete_hi] of d's read-state intervals.
+  void check_snapshot(model::TxnIdx d, StateIndex complete_lo, StateIndex complete_hi);
   void check_retroactive_inversions(model::TxnIdx d);
-  void commit_placed(model::TxnIdx d, Placed p);
 
   // --- Windowing ---
-  /// Placed record of dense slot s (must be resident: s ≥ watermark()).
-  Placed& placed_of(std::size_t slot) { return txns_[slot - placed_base_]; }
-  const Placed& placed_of(std::size_t slot) const {
-    return txns_[slot - placed_base_];
+  /// PREC closure of dense slot s (must be resident: s ≥ watermark()).
+  PrecSet& prec_of(std::size_t slot) { return precs_[slot - placed_base_]; }
+  const PrecSet& prec_of(std::size_t slot) const {
+    return precs_[slot - placed_base_];
   }
-  /// slot ∈ PREC closure of p? Exact for every slot ≥ prec_origin_ and for
+  /// slot ∈ PREC closure p? Exact for every slot ≥ prec_origin_ and for
   /// every current base slot; no other slot is ever tested.
-  bool prec_test(const Placed& p, std::size_t slot) const {
+  bool prec_test(const PrecSet& p, std::size_t slot) const {
     if (slot >= prec_origin_) {
       const std::size_t i = slot - prec_origin_;
-      return i < p.prec.recent.size() && p.prec.recent.test(i);
+      return i < p.recent.size() && p.recent.test(i);
     }
-    return std::binary_search(p.prec.old.begin(), p.prec.old.end(), slot);
+    return std::binary_search(p.old.begin(), p.old.end(), slot);
   }
-  void prec_add(Placed& p, std::size_t slot) {
+  void prec_add(PrecSet& p, std::size_t slot) {
     if (slot >= prec_origin_) {
       const std::size_t i = slot - prec_origin_;
-      p.prec.recent.grow(i + 1);
-      p.prec.recent.set(i);
+      p.recent.grow(i + 1);
+      p.recent.set(i);
       return;
     }
-    auto it = std::lower_bound(p.prec.old.begin(), p.prec.old.end(), slot);
-    if (it == p.prec.old.end() || *it != slot) p.prec.old.insert(it, slot);
+    auto it = std::lower_bound(p.old.begin(), p.old.end(), slot);
+    if (it == p.old.end() || *it != slot) p.old.insert(it, slot);
   }
-  /// Absorb slot and its transitive closure into p's PREC set, whether the
-  /// slot is resident (Placed bitsets) or a retired base slot (base_prec_).
-  void prec_absorb(Placed& p, std::size_t slot);
-  /// Rough per-Placed footprint, for the max_resident_bytes estimate.
-  static std::size_t placed_bytes(const Placed& p) {
-    return sizeof(Placed) + p.ops.capacity() * sizeof(OpView) +
-           (p.prec.recent.size() + 7) / 8 +
-           p.prec.old.capacity() * sizeof(std::size_t);
+  /// Absorb slot and its transitive closure into p, whether the slot is
+  /// resident (precs_ bitsets) or a retired base slot (base_prec_).
+  void prec_absorb(PrecSet& p, std::size_t slot);
+  /// Rough per-transaction footprint, for the max_resident_bytes estimate.
+  static std::size_t prec_bytes(const PrecSet& p) {
+    return sizeof(PrecSet) + (p.recent.size() + 7) / 8 +
+           p.old.capacity() * sizeof(std::size_t);
   }
   /// End-of-ingest hook: decide a watermark (resident excess, clamped so no
   /// session's latest applied transaction retires, with hysteresis) and fold.
@@ -344,9 +319,9 @@ class OnlineChecker {
 
   std::map<ct::IsolationLevel, LevelStatus> statuses_;
   model::CompiledHistory stream_;  // owning; dense index == apply order
-  // Placed records of RESIDENT transactions: txns_[i] is dense slot
+  // PREC closures of RESIDENT transactions: precs_[i] is dense slot
   // placed_base_ + i. Front-erased by fold_to.
-  std::vector<Placed> txns_;
+  std::vector<PrecSet> precs_;
   // Timelines indexed by the stream's KeyIdx: (installed state, dense writer).
   // After a fold a timeline keeps its resident entries plus AT MOST ONE
   // retired entry in front — the key's latest retired writer (its base slot):
@@ -362,32 +337,34 @@ class OnlineChecker {
   std::unordered_map<SessionId, SessionRec> session_states_;
   // --- Window state ---
   WindowOptions window_;
-  std::size_t placed_base_ = 0;  // == stream_.retired(): dense slot of txns_[0]
+  std::size_t placed_base_ = 0;  // == stream_.retired(): dense slot of precs_[0]
   std::size_t prec_origin_ = 0;  // word-aligned (×64), ≤ placed_base_
   // closure(b) ∩ current base slots, sorted, for every retired base slot b.
   std::unordered_map<std::size_t, std::vector<std::size_t>> base_prec_;
-  std::size_t placed_bytes_ = 0;  // Σ placed_bytes over resident txns_
+  std::size_t prec_bytes_ = 0;  // Σ prec_bytes over resident precs_
   static constexpr std::size_t kTxnBytesEst = 320;  // Transaction + set nodes
   static constexpr std::size_t kOpBytesEst = 32;    // compiled rows + timeline
   // Max start_ts over applied transactions: a late transaction can invert a
   // real-time clause iff some applied transaction started after it committed.
   Timestamp max_start_applied_ = kNoTimestamp;
-  // True when every tracked level is untimed-weak (RU/RC/RA/PSI): fixed at
-  // construction, routes ingest() to the direct per-transaction path.
-  bool weak_only_ = false;
+  // Whether evaluate() computes read-state interval ENDS — one timeline
+  // binary search per read. Fixed at construction: true when a tracked level
+  // reads them (SER, SSER, the SI family) and always in assigned mode, where
+  // a later block may annotate any level. False makes the checker
+  // start-only: RU/RC/RA/PSI decide on starts alone, and no tracked level
+  // holds a real-time clause a late arrival could invert.
+  bool interval_ends_ = true;
   // --- Assigned (mixed-level) mode, set by track_assigned() ---
   bool assigned_mode_ = false;
   ct::IsolationLevel assigned_fallback_ = ct::IsolationLevel::kSerializable;
   LevelStatus assigned_status_;
-  // Level of the transaction currently in evaluate_new (assigned mode).
-  ct::IsolationLevel current_level_ = ct::IsolationLevel::kSerializable;
   // Bitmask of the levels applied transactions were evaluated at — lets the
   // retroactive-inversion pass exit early when no applied transaction holds
   // a real-time/session clause.
   std::uint16_t applied_mask_ = 0;
-  // Scratch: per-op read-state starts for the transaction being ingested on
-  // the weak path (reused across transactions to avoid reallocation).
-  std::vector<StateIndex> weak_firsts_;
+  // Scratch: per-op read-state starts of the transaction being evaluated
+  // (reused across transactions to avoid reallocation).
+  std::vector<StateIndex> starts_;
   // Scratch for append_all's duplicate filter (a monitor appends for days;
   // one hash table outlives every batch instead of one allocation per batch).
   std::unordered_set<TxnId> append_seen_;

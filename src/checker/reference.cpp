@@ -531,7 +531,7 @@ bool OnlineCheckerHashed::append(const Transaction& txn) {
     p.ops.push_back(analyze_op(txn, i, parent));
   }
 
-  commit_placed(std::move(p));
+  apply(std::move(p));
   return true;
 }
 
@@ -543,7 +543,7 @@ std::size_t OnlineCheckerHashed::append_all(const model::TransactionSet& txns) {
   return appended;
 }
 
-void OnlineCheckerHashed::commit_placed(Placed p) {
+void OnlineCheckerHashed::apply(Placed p) {
   evaluate_new(p);
   check_retroactive_inversions(p);
 

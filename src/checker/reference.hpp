@@ -107,7 +107,7 @@ class OnlineCheckerHashed {
                     StateIndex parent) const;
   void evaluate_new(Placed& p);
   void check_retroactive_inversions(const Placed& p);
-  void commit_placed(Placed p);
+  void apply(Placed p);
 
   const std::vector<std::pair<StateIndex, std::size_t>>* timeline_of(Key k) const {
     const model::KeyIdx ki = keys_.find(k);

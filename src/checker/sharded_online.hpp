@@ -4,10 +4,10 @@
 // core: `report::stream_audit` parsed, compiled and checked every block on
 // the tailing thread. Profiling the follow loop shows the split is lopsided —
 // decoding a transaction block out of the plain-text observation format costs
-// microseconds (tokenizer, attribute parsing, Transaction construction) while
-// appending the decoded transaction to OnlineChecker costs tens of
-// nanoseconds on the weak-only direct path. ShardedOnlineChecker exploits
-// exactly that asymmetry with a three-stage pipeline:
+// microseconds (tokenizer, attribute parsing, Transaction construction),
+// more than appending the decoded transaction to a start-only
+// OnlineChecker. ShardedOnlineChecker exploits exactly that asymmetry with
+// a three-stage pipeline:
 //
 //   stage 1 (caller)   splits the raw byte stream into complete transaction
 //                      blocks, resolves the `default-level` directive, and
@@ -18,9 +18,10 @@
 //   stage 3 (merge)    reassembles each epoch in stream order and appends it
 //                      to the ONE authoritative OnlineChecker, which runs the
 //                      cross-session checks exactly as the serial monitor
-//                      does: extend() compilation, the weak-level direct
-//                      path, real-time/retroactive scans, PSI closure, and
-//                      windowed retirement at the global watermark.
+//                      does: extend() compilation, the per-transaction
+//                      commit tests, real-time/retroactive scans, PSI
+//                      closure, and windowed retirement at the global
+//                      watermark.
 //
 // Admissibility is deliberately NOT sharded: PREREAD, the RA fracture
 // comparison, per-key timelines and the PSI PREC closure are all properties

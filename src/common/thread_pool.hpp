@@ -106,8 +106,10 @@ class ThreadPool {
       std::lock_guard<std::mutex> lock(mu_);
       ++outstanding_;
       queue_.push_back(std::move(qt));
+      // Inside the lock: a worker can only pop (and apply its -1) after the
+      // +1, so the gauge never reads negative.
+      pool_detail::queue_depth_gauge().add(1);
     }
-    pool_detail::queue_depth_gauge().add(1);
     cv_.notify_one();
   }
 

@@ -1,5 +1,6 @@
 #include "report/serialize.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +25,10 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 std::uint64_t parse_u64(const std::string& s, std::size_t line, const char* what) {
+  // std::stoull would accept a sign ("-1" wraps to 2^64-1): digits only.
+  if (s.empty() || s[0] < '0' || s[0] > '9') {
+    fail(line, std::string("bad ") + what + ": '" + s + "'");
+  }
   try {
     std::size_t used = 0;
     const std::uint64_t v = std::stoull(s, &used);
@@ -34,6 +39,15 @@ std::uint64_t parse_u64(const std::string& s, std::size_t line, const char* what
   } catch (const std::out_of_range&) {
     fail(line, std::string("out-of-range ") + what + ": '" + s + "'");
   }
+}
+
+/// A 32-bit id attribute; values that do not fit are rejected, not
+/// truncated. `max` excludes a reserved sentinel (kNoSession).
+std::uint32_t parse_u32(const std::string& s, std::size_t line, const char* what,
+                        std::uint32_t max = std::numeric_limits<std::uint32_t>::max()) {
+  const std::uint64_t v = parse_u64(s, line, what);
+  if (v > max) fail(line, std::string("out-of-range ") + what + ": '" + s + "'");
+  return static_cast<std::uint32_t>(v);
 }
 
 Timestamp parse_ts(const std::string& s, std::size_t line, const char* what) {
@@ -99,9 +113,9 @@ Observations parse_observations(std::istream& in) {
         const std::string key = tok[i].substr(0, eq);
         const std::string val = tok[i].substr(eq + 1);
         if (key == "session") {
-          session = SessionId{static_cast<std::uint32_t>(parse_u64(val, lineno, "session"))};
+          session = SessionId{parse_u32(val, lineno, "session", kNoSession.value - 1)};
         } else if (key == "site") {
-          site = SiteId{static_cast<std::uint32_t>(parse_u64(val, lineno, "site"))};
+          site = SiteId{parse_u32(val, lineno, "site")};
         } else if (key == "start") {
           start = parse_ts(val, lineno, "start");
         } else if (key == "commit") {

@@ -86,6 +86,25 @@ TEST(Serialize, ErrorsCarryLineNumbers) {
   expect_error("txn 1 bogus=1\nend\n", "unknown attribute");
   expect_error("frobnicate\n", "unknown directive");
   expect_error("txn x\nend\n", "bad txn id");
+  // Signs and ids that do not fit their field are rejected, never wrapped or
+  // truncated: session=4294967297 would otherwise alias session 1.
+  expect_error("txn -1\nend\n", "bad txn id");
+  expect_error("txn 1\n  read -3 0\nend\n", "bad key");
+  expect_error("txn 1\n  read 3 -2\nend\n", "bad writer");
+  expect_error("txn 1\n  write -3\nend\n", "bad key");
+  expect_error("vo -3 1\n", "bad key");
+  expect_error("txn 18446744073709551616\nend\n", "out-of-range txn id");
+  expect_error("txn 1 session=-1\nend\n", "bad session");
+  expect_error("txn 1 session=4294967297\nend\n", "out-of-range session");
+  expect_error("txn 1 session=4294967295\nend\n", "out-of-range session");
+  expect_error("txn 1 site=-1\nend\n", "bad site");
+  expect_error("txn 1 site=4294967296\nend\n", "out-of-range site");
+  // The largest values that fit still parse.
+  const Observations edge = parse_observations(
+      "txn 18446744073709551615 session=4294967294 site=4294967295\nend\n");
+  ASSERT_EQ(edge.txns.size(), 1u);
+  EXPECT_EQ(edge.txns.begin()->session(), SessionId{4294967294u});
+  EXPECT_EQ(edge.txns.begin()->site(), SiteId{4294967295u});
 }
 
 TEST(Serialize, EmptyInputIsEmptyObservationSet) {

@@ -114,11 +114,10 @@ std::string status_line(ct::IsolationLevel level,
 
 std::string stats_line(const OnlineChecker::Stats& s) {
   std::ostringstream os;
-  os << s.blocks << ' ' << s.compiled_appends << ' '
-     << s.hashed_fallback_appends << ' ' << s.duplicates_ignored << ' '
-     << s.ops_evaluated << ' ' << s.direct_appends << ' ' << s.retired_txns
-     << ' ' << s.retired_ops << ' ' << s.window_folds << ' '
-     << s.past_window_reads << ' ' << s.past_window_checks;
+  os << s.blocks << ' ' << s.compiled_appends << ' ' << s.duplicates_ignored
+     << ' ' << s.ops_evaluated << ' ' << s.retired_txns << ' ' << s.retired_ops
+     << ' ' << s.window_folds << ' ' << s.past_window_reads << ' '
+     << s.past_window_checks;
   return os.str();
 }
 
