@@ -337,7 +337,7 @@ void BM_PrecedenceClosure(benchmark::State& state) {
       *checker::check(ct::IsolationLevel::kReadCommitted, r.observations).witness;
   for (auto _ : state) {
     const model::ReadStateAnalysis analysis(r.observations, e);
-    benchmark::DoNotOptimize(analysis.precedence().direct_count(0));
+    benchmark::DoNotOptimize(analysis.precedence().prec_set(0));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -9,8 +9,8 @@
 // describes how OUR code was compiled — the fact that matters for whether a
 // number is a real baseline. tools/bench_diff.py --forbid-debug gates on it.
 //
-// When CROOKS_BENCH_BASELINE is set in the environment (the CI leg that
-// regenerates committed BENCH_*.json sets it), a non-optimized build aborts
+// When CROOKS_BENCH_BASELINE is set in the environment (set it when
+// regenerating a committed BENCH_*.json), a non-optimized build aborts
 // up front: recording a Debug baseline silently is the failure mode that
 // motivated this file.
 #pragma once

@@ -219,54 +219,13 @@ class MpmcQueue {
   /// Number of completed pushes so far (monotone; used by pop() to park).
   std::uint64_t pushed() const { return pushed_.load(std::memory_order_acquire); }
 
-  /// False iff the ring is full. On success the element is visible to a
-  /// concurrent pop() before try_push returns. The by-value form consumes
-  /// `v` either way; when the caller must retry on a full ring (the pipelined
-  /// ingest's backpressure path), use try_push_ref — it moves from `v` only
-  /// after a cell has been claimed, so a failed attempt leaves `v` intact.
+  /// False iff the ring is full (`v` is consumed either way). On success the
+  /// element is visible to a concurrent pop() before try_push returns.
   bool try_push(T v) { return try_push_ref(v); }
 
-  bool try_push_ref(T& v) {
-    std::size_t pos = head_.load(std::memory_order_relaxed);
-    Cell* cell;
-    for (;;) {
-      cell = &cells_[pos & mask_];
-      const std::size_t seq = cell->seq.load(std::memory_order_acquire);
-      const std::intptr_t dif =
-          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
-      if (dif == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          break;
-        }
-      } else if (dif < 0) {
-        return false;  // the cell still holds an unpopped element: full
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-    cell->value = std::move(v);
-    cell->seq.store(pos + 1, std::memory_order_release);
-    pushed_.fetch_add(1, std::memory_order_release);
-    pushed_.notify_all();
-    return true;
-  }
-
-  /// Blocking push: yields until a slot frees up. This IS an expected path
-  /// for the pipelined ingest, whose bounded rings turn a slow consumer into
-  /// backpressure on the producer instead of unbounded buffering.
+  /// Blocking push: yields until a slot frees up.
   void push(T v) {
     while (!try_push_ref(v)) std::this_thread::yield();
-  }
-
-  /// Elements currently in the ring (pushed, not yet popped). Racy snapshot —
-  /// the cursors are read independently — clamped to [0, capacity]; intended
-  /// for queue-depth gauges, never for scheduling decisions.
-  std::size_t approx_size() const {
-    const auto h = static_cast<std::intptr_t>(head_.load(std::memory_order_relaxed));
-    const auto t = static_cast<std::intptr_t>(tail_.load(std::memory_order_relaxed));
-    const std::intptr_t d = h - t;
-    if (d <= 0) return 0;
-    return std::min(static_cast<std::size_t>(d), capacity());
   }
 
   /// False iff the queue is empty at the moment of the call.
@@ -307,6 +266,33 @@ class MpmcQueue {
   }
 
  private:
+  /// try_push that moves from `v` only after a cell has been claimed, so a
+  /// failed attempt leaves `v` intact for push() to retry.
+  bool try_push_ref(T& v) {
+    std::size_t pos = head_.load(std::memory_order_relaxed);
+    Cell* cell;
+    for (;;) {
+      cell = &cells_[pos & mask_];
+      const std::size_t seq = cell->seq.load(std::memory_order_acquire);
+      const std::intptr_t dif =
+          static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos);
+      if (dif == 0) {
+        if (head_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
+          break;
+        }
+      } else if (dif < 0) {
+        return false;  // the cell still holds an unpopped element: full
+      } else {
+        pos = head_.load(std::memory_order_relaxed);
+      }
+    }
+    cell->value = std::move(v);
+    cell->seq.store(pos + 1, std::memory_order_release);
+    pushed_.fetch_add(1, std::memory_order_release);
+    pushed_.notify_all();
+    return true;
+  }
+
   struct Cell {
     std::atomic<std::size_t> seq{0};
     T value{};

@@ -131,7 +131,6 @@ const Precedence& ReadStateAnalysis::precedence() const {
   Precedence p;
   const std::size_t n = ch_->size();
   p.prec_.assign(n, DynamicBitset(n));
-  p.direct_count_.assign(n, 0);
 
   // Walk transactions in execution order so that every direct predecessor's
   // transitive set is already complete when we fold it in (Lemma E.1/E.2:
@@ -141,11 +140,9 @@ const Precedence& ReadStateAnalysis::precedence() const {
     const OpsView cops = ch_->ops(dense);
     const TxnAnalysis& ta = txn_[dense];
     DynamicBitset& mine = p.prec_[dense];
-    DynamicBitset direct_set(n);  // D-PREC_e(T): distinct direct predecessors
 
     auto add_direct = [&](std::size_t pred_dense) {
       if (pred_dense == dense) return;
-      direct_set.set(pred_dense);
       mine.set(pred_dense);
       mine.or_with(p.prec_[pred_dense]);
     };
@@ -166,8 +163,6 @@ const Precedence& ReadStateAnalysis::precedence() const {
         add_direct(v.writer_dense);
       });
     }
-
-    p.direct_count_[dense] = direct_set.count();
   }
 
   precedence_ = std::move(p);

@@ -61,13 +61,9 @@ class Precedence {
   /// The full PREC_e set of a transaction, as a bitset over dense indices.
   const DynamicBitset& prec_set(std::size_t dense) const { return prec_[dense]; }
 
-  /// |D-PREC_e(T)|: number of *direct* predecessors (Fig. 5's dependency metric).
-  std::size_t direct_count(std::size_t dense) const { return direct_count_[dense]; }
-
  private:
   friend class ReadStateAnalysis;
   std::vector<DynamicBitset> prec_;
-  std::vector<std::size_t> direct_count_;
 };
 
 class ReadStateAnalysis {

@@ -4,34 +4,31 @@
 // mid-block (a `txn` opened but its `end` not yet written — complete blocks
 // are batched, the open one waits).
 //
-// The stream is consumed in three conceptual stages shared by the serial and
-// pipelined paths:
+// The stream is consumed in three stages:
 //   stage 1  Splitter — cuts the byte stream into complete RawBlocks and
 //            owns ALL parser state that crosses block boundaries (the
 //            `default-level` directive, the open-block accumulator, stream-
-//            level errors). Downstream decoding is stateless per block.
+//            level errors). Decoding is stateless per block.
 //   stage 2  decode_block — RawBlock -> transactions via parse_observations,
-//            with the directive applied to unannotated transactions. Pure:
-//            safe to run on any thread, which is exactly what the pipelined
-//            path's shard workers do.
-//   stage 3  OnlineChecker::append_all per batch — serial: inline at every
-//            flush; pipelined: on ShardedOnlineChecker's merge thread.
+//            with the directive applied to unannotated transactions.
+//   stage 3  OnlineChecker::append_all, once per batch at every flush.
 // The error contract is "first error in line order wins, and an error drops
-// its whole batch"; both paths implement it identically (the serial path
-// validates pending blocks before reporting a stream error, mirroring the
-// pipeline's validate-only epoch).
+// its whole batch": before reporting a stream error, the loop decodes the
+// pending blocks, so an earlier block's parse error is the one reported.
 #include "report/stream_audit.hpp"
 
 #include <cctype>
 #include <chrono>
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "checker/sharded_online.hpp"
 #include "obs/metrics.hpp"
 #include "report/serialize.hpp"
 
@@ -105,30 +102,26 @@ std::vector<std::string_view> tokens_of(std::string_view line) {
   return out;
 }
 
-/// Shard routing key of a block: the `session=` value on its `txn` header
-/// line, 0 when absent or malformed (a malformed attribute routes anywhere —
-/// the shard's parse produces the very same error message regardless).
-std::uint64_t route_of(std::string_view txn_line) {
-  for (std::string_view tok : tokens_of(txn_line)) {
-    if (tok.rfind("session=", 0) != 0) continue;
-    const std::string_view v = tok.substr(8);
-    if (v.empty()) return 0;
-    std::uint64_t n = 0;
-    for (char c : v) {
-      if (c < '0' || c > '9') return 0;
-      n = n * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return n;
-  }
-  return 0;
-}
+/// One complete `txn … end` block as cut from the raw stream by stage 1.
+struct RawBlock {
+  std::string text;              // the block's lines, newline-terminated
+  std::uint64_t first_line = 0;  // absolute line number of its `txn` line
+  /// The `default-level` directive in force when the block completed;
+  /// decode_block applies it to unannotated transactions.
+  std::optional<ct::IsolationLevel> default_level;
+};
 
-/// Stage 2: decode one complete block. Pure — no shared state — so the
-/// pipelined path hands it to shard workers as-is. The error string is the
-/// exact message the serial monitor has always reported.
-checker::DecodedBlock decode_block(const checker::RawBlock& block) {
-  checker::DecodedBlock out;
-  out.error_line = block.first_line;
+/// A decoded block, or a decode failure.
+struct DecodedBlock {
+  std::vector<model::Transaction> txns;
+  /// Non-empty on failure: the fully formatted error message.
+  std::string error;
+};
+
+/// Stage 2: decode one complete block; a parse failure is reported as
+/// "block starting at line N: why".
+DecodedBlock decode_block(const RawBlock& block) {
+  DecodedBlock out;
   Observations obs;
   try {
     obs = parse_observations(block.text);
@@ -153,21 +146,18 @@ checker::DecodedBlock decode_block(const checker::RawBlock& block) {
 }
 
 /// Stage 1: line stream -> complete RawBlocks. Owns every piece of parser
-/// state that crosses block boundaries; shard workers never touch it.
+/// state that crosses block boundaries.
 struct Splitter {
-  std::vector<checker::RawBlock> pending;  // complete blocks since last flush
+  std::vector<RawBlock> pending;  // complete blocks since last flush
   std::optional<ct::IsolationLevel> default_level;
   std::uint64_t line_no = 0;
   bool in_block = false;
 
   // Stream-level error (a stage-1 fact, distinct from a block parse error).
-  bool failed = false;
-  std::uint64_t error_line = 0;
   std::string error;  // formatted "line N: why"
 
   std::string open_block_;
   std::uint64_t open_block_line_ = 0;
-  std::uint64_t open_route_ = 0;
 
   /// Consume one complete line; false on a stream-level error.
   bool consume(const std::string& line) {
@@ -180,9 +170,8 @@ struct Splitter {
       open_block_ += '\n';
       if (tok == "end") {
         in_block = false;
-        pending.push_back(checker::RawBlock{std::move(open_block_),
-                                            open_block_line_, open_route_,
-                                            default_level});
+        pending.push_back(
+            RawBlock{std::move(open_block_), open_block_line_, default_level});
         open_block_.clear();
       }
       return true;
@@ -195,8 +184,8 @@ struct Splitter {
           "for the ∃e question");
     }
     if (tok == "default-level") {
-      // Hoisted directive handling: resolved here, once, and stamped onto
-      // every later block — the per-block decoders stay stateless.
+      // Resolved here, once, and stamped onto every later block — the
+      // per-block decoder stays stateless.
       const std::vector<std::string_view> toks = tokens_of(line);
       if (toks.size() != 2) {
         return fail("default-level needs: default-level <name>");
@@ -212,22 +201,20 @@ struct Splitter {
     if (tok != "txn") return fail("expected 'txn', got '" + std::string(tok) + "'");
     in_block = true;
     open_block_line_ = line_no;
-    open_route_ = route_of(line);
     open_block_ = line;
     open_block_ += '\n';
     return true;
   }
 
   bool fail(std::string why) {
-    failed = true;
-    error_line = line_no;
     error = "line " + std::to_string(line_no) + ": " + why;
     return false;
   }
 };
 
-/// Serial path: decode at every flush on the calling thread.
-StreamAuditResult stream_audit_serial(
+}  // namespace
+
+StreamAuditResult stream_audit(
     std::istream& in, const StreamAuditOptions& opts,
     const std::function<bool(const StreamBlockReport&)>& on_block) {
   StreamAuditResult result;
@@ -241,12 +228,11 @@ StreamAuditResult stream_audit_serial(
   bool stop = false;
   Clock::time_point last_input = Clock::now();
 
-  // The stream-error exit, mirroring the pipeline's validate-only epoch: an
-  // earlier pending block's parse error must win over the stream error (the
-  // serial reader of old hit it first, at that block's `end` line).
+  // The stream-error exit: an earlier pending block's parse error wins over
+  // the stream error, since it comes first in line order.
   auto stream_fail = [&]() {
-    for (const checker::RawBlock& block : splitter.pending) {
-      const checker::DecodedBlock decoded = decode_block(block);
+    for (const RawBlock& block : splitter.pending) {
+      const DecodedBlock decoded = decode_block(block);
       if (!decoded.error.empty()) {
         result.error = decoded.error;
         stop = true;
@@ -264,8 +250,8 @@ StreamAuditResult stream_audit_serial(
     // happen to batch across polls — parsing a whole batch as one document
     // would instead turn "both copies arrived in the same poll" into a
     // fatal parse error.
-    for (const checker::RawBlock& block : splitter.pending) {
-      checker::DecodedBlock decoded = decode_block(block);
+    for (const RawBlock& block : splitter.pending) {
+      DecodedBlock decoded = decode_block(block);
       if (!decoded.error.empty()) {
         result.error = std::move(decoded.error);
         stop = true;
@@ -366,136 +352,6 @@ StreamAuditResult stream_audit_serial(
   }
   result.checker_stats = chk.stats();
   return result;
-}
-
-/// Pipelined path: stage 1 runs here, decode and append run on
-/// ShardedOnlineChecker's threads. Flush boundaries (and therefore batch
-/// numbering, per-batch counters and every checker-visible ordering) are cut
-/// exactly where the serial path cuts them.
-StreamAuditResult stream_audit_pipelined(
-    std::istream& in, const StreamAuditOptions& opts,
-    const std::function<bool(const StreamBlockReport&)>& on_block) {
-  StreamAuditResult result;
-
-  checker::ShardedOnlineChecker::Options sharded;
-  sharded.shards = opts.ingest_threads;
-  sharded.levels = opts.levels;
-  sharded.window = {opts.window_txns, opts.window_bytes};
-  sharded.decoder = decode_block;
-  sharded.on_checker = opts.on_checker;
-
-  // Per-epoch adapter, invoked sequentially on the merge thread: the same
-  // report/metrics/callback/stop logic as a serial flush.
-  auto on_epoch = [&](const checker::ShardedOnlineChecker::EpochReport& er) {
-    StreamBlockReport rep;
-    rep.block = er.epoch;
-    rep.transactions = er.transactions;
-    rep.duplicates = er.duplicates;
-    rep.seconds = er.seconds;
-    rep.died = er.died;
-    rep.checker = er.checker;
-    rep.watermark = er.watermark;
-    rep.resident_txns = er.resident_txns;
-    rep.resident_ops = er.resident_ops;
-    if (obs::enabled()) {
-      FollowMetrics& m = FollowMetrics::get();
-      m.batches.inc();
-      m.txns.inc(er.transactions);
-      m.duplicates.inc(er.duplicates);
-      m.batch_seconds.observe(er.seconds);
-      m.levels_alive.set(
-          static_cast<std::int64_t>(er.checker->surviving_levels().size()));
-    }
-    if (opts.metrics_every != 0 && er.epoch % opts.metrics_every == 0) {
-      rep.metrics_snapshot = obs::Registry::global().json();
-    }
-    bool keep = !on_block || on_block(rep);
-    if (opts.max_blocks != 0 && er.epoch >= opts.max_blocks) keep = false;
-    return keep;
-  };
-  checker::ShardedOnlineChecker pipeline(std::move(sharded), on_epoch);
-
-  Splitter splitter;
-  std::string partial;
-  std::string line;
-  std::uint64_t submitted = 0;
-  bool failed = false;
-  Clock::time_point last_input = Clock::now();
-
-  for (;;) {
-    if (std::getline(in, line)) {
-      last_input = Clock::now();
-      if (in.eof()) {
-        partial += line;
-        continue;
-      }
-      if (!splitter.consume(partial + line)) {
-        failed = true;
-        break;
-      }
-      partial.clear();
-      continue;
-    }
-    // Caught up: submit the epoch (stage 2/3 overlap with further reading).
-    if (opts.max_blocks != 0 && submitted + 1 >= opts.max_blocks &&
-        splitter.in_block && !partial.empty() && first_token(partial) == "end") {
-      // Same fully-delivered-final-block case as the serial path; `end` as a
-      // complete line cannot produce a stream error.
-      splitter.consume(partial);
-      partial.clear();
-    }
-    if (!splitter.pending.empty()) {
-      ++submitted;
-      const bool accepted = pipeline.submit(std::move(splitter.pending));
-      splitter.pending.clear();
-      if (!accepted) break;
-    }
-    if (pipeline.stopped()) break;
-    if (opts.max_blocks != 0 && submitted >= opts.max_blocks) break;
-    if (opts.idle_exit_ms > 0 &&
-        Clock::now() - last_input >= std::chrono::milliseconds(opts.idle_exit_ms)) {
-      break;
-    }
-    in.clear();
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
-  }
-  if (!failed && !pipeline.stopped() && !partial.empty()) {
-    // Idle-exit with a buffered final fragment, as in the serial path.
-    if (!splitter.consume(partial)) failed = true;
-    partial.clear();
-  }
-  if (failed) {
-    // Validate-only epoch: pending blocks are decoded for the first-error-
-    // in-line-order reconciliation but never appended (the serial path drops
-    // an erroring batch whole).
-    pipeline.submit_error(std::move(splitter.pending), splitter.error_line,
-                          splitter.error);
-  } else if (!splitter.pending.empty()) {
-    pipeline.submit(std::move(splitter.pending));
-  }
-
-  const checker::ShardedOnlineChecker::Result& fin = pipeline.finish();
-  result.blocks = fin.epochs;
-  result.transactions = fin.transactions;
-  result.duplicates = fin.duplicates;
-  result.error = fin.error;
-
-  const checker::OnlineChecker& chk = pipeline.checker();
-  result.surviving = chk.surviving_levels();
-  for (ct::IsolationLevel level : opts.levels) {
-    result.statuses.emplace(level, chk.status(level));
-  }
-  result.checker_stats = chk.stats();
-  return result;
-}
-
-}  // namespace
-
-StreamAuditResult stream_audit(
-    std::istream& in, const StreamAuditOptions& opts,
-    const std::function<bool(const StreamBlockReport&)>& on_block) {
-  return opts.ingest_threads >= 1 ? stream_audit_pipelined(in, opts, on_block)
-                                  : stream_audit_serial(in, opts, on_block);
 }
 
 }  // namespace crooks::report

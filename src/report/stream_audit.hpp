@@ -22,12 +22,6 @@
 // stream splitter (stage 1) and applied to every later unannotated
 // transaction, so the level column of the compiled stream matches what an
 // offline parse of the same file would build.
-//
-// With StreamAuditOptions::ingest_threads >= 1 the same loop drives the
-// pipelined ingest instead: stage 1 (this thread) splits blocks and resolves
-// directives, N shard workers decode their session partition, and a merge
-// thread appends every batch — in stream order, through one authoritative
-// checker — so results are byte-identical to the serial path by construction.
 #pragma once
 
 #include <cstdint>
@@ -68,16 +62,6 @@ struct StreamAuditOptions {
   /// read. `crooks-check --forensics --follow` attaches its forensics
   /// Collector here (the collector must outlive the audit call).
   std::function<void(checker::OnlineChecker&)> on_checker = {};
-  /// Pipelined ingest (`crooks-check --follow --ingest-threads=N`): N
-  /// session-partitioned shard workers decode blocks in parallel and a merge
-  /// thread runs the one authoritative OnlineChecker
-  /// (checker::ShardedOnlineChecker), overlapping parse with check. 0 (the
-  /// default) audits serially on the calling thread. Verdicts, witnesses,
-  /// batch numbering, counter totals and forensics output are byte-identical
-  /// to the serial path at every shard count — only wall-clock changes. With
-  /// N >= 1 the `on_block` callback runs on the merge thread (calls are
-  /// still strictly sequential, in batch order).
-  std::size_t ingest_threads = 0;
 };
 
 /// One audited batch (all complete transaction blocks available at a poll).

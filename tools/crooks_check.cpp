@@ -46,13 +46,6 @@
 //                    crooks_online_past_window_* metrics)
 //   --window-bytes=B [follow] same, but bound the resident-memory estimate in
 //                    bytes; combines with --window (tighter limit wins)
-//   --ingest-threads=N  [follow] pipelined ingest: N session-sharded workers
-//                    decode transaction blocks in parallel while a merge
-//                    thread runs the one authoritative checker, overlapping
-//                    parse with check (checker::ShardedOnlineChecker).
-//                    Verdicts, witnesses, counters and forensics output are
-//                    byte-identical to the serial path at every N; only
-//                    wall-clock changes. 0 (default) = serial ingest
 //   --metrics[=FILE] after the audit, dump the metrics registry in Prometheus
 //                    text exposition format to FILE (stdout if omitted)
 //   --metrics-json=FILE  same scrape as one JSON object
@@ -72,6 +65,7 @@
 //                    given log across offline/--follow and thread counts
 //   --trace=FILE     write JSONL trace spans/events (compile, extend, engine
 //                    dispatch, search, online ingest) to FILE
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -101,9 +95,8 @@ int usage() {
                "                    [--trace=FILE] [FILE]\n"
                "       crooks-check --follow [--level=NAME] [--quiet]\n"
                "                    [--poll-ms=N] [--idle-exit-ms=N] [--max-blocks=N]\n"
-               "                    [--window=N] [--window-bytes=B]\n"
-               "                    [--ingest-threads=N] [--metrics-every=N] [--forensics]\n"
-               "                    [--forensics-json=FILE] FILE\n"
+               "                    [--window=N] [--window-bytes=B] [--metrics-every=N]\n"
+               "                    [--forensics] [--forensics-json=FILE] FILE\n"
                "levels:");
   for (ct::IsolationLevel l : ct::kAllLevels) {
     std::fprintf(stderr, " %s", std::string(ct::name_of(l)).c_str());
@@ -330,10 +323,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--follow") {
       follow = true;
     } else if (arg.rfind("--poll-ms=", 0) == 0) {
-      if (!parse_count(arg.substr(10), count)) return usage();
+      if (!parse_count(arg.substr(10), count) || count > INT_MAX) return usage();
       follow_opts.poll_ms = static_cast<int>(count);
     } else if (arg.rfind("--idle-exit-ms=", 0) == 0) {
-      if (!parse_count(arg.substr(15), count)) return usage();
+      if (!parse_count(arg.substr(15), count) || count > INT_MAX) return usage();
       follow_opts.idle_exit_ms = static_cast<int>(count);
     } else if (arg.rfind("--max-blocks=", 0) == 0) {
       if (!parse_count(arg.substr(13), count)) return usage();
@@ -344,9 +337,6 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--window-bytes=", 0) == 0) {
       if (!parse_count(arg.substr(15), count) || count == 0) return usage();
       follow_opts.window_bytes = count;
-    } else if (arg.rfind("--ingest-threads=", 0) == 0) {
-      if (!parse_count(arg.substr(17), count)) return usage();
-      follow_opts.ingest_threads = count;
     } else if (arg == "--metrics") {
       metrics = true;
     } else if (arg.rfind("--metrics=", 0) == 0) {
