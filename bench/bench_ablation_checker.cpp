@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "checker/checker.hpp"
-#include "checker/reference.hpp"
 #include "model/compiled.hpp"
 #include "store/runner.hpp"
 #include "workload/workload.hpp"
@@ -238,18 +237,16 @@ void BM_VerifiedBatchScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifiedBatchScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-/// Representation ablation: the same sequential exhaustive search on the
-/// hashed (pre-compile, checker::reference) vs the compiled (interned,
-/// flat-indexed) history representation. The workload is exhaustive-heavy —
-/// half store-generated satisfiable histories, half write-skew refutations
-/// whose whole pruned permutation tree must be exhausted — so per-node cost
+/// The compiled (interned, flat-indexed) history representation under the
+/// sequential exhaustive search. The workload is exhaustive-heavy — half
+/// store-generated satisfiable histories, half write-skew refutations whose
+/// whole pruned permutation tree must be exhausted — so per-node cost
 /// dominates. Exported counters: histories_per_sec, ns_per_node (elapsed
-/// over total branch-and-bound nodes), host_cpus, and, on the compiled run,
-/// speedup_vs_hashed (the two variants share one process, so the baseline
-/// is always measured in the same run). Export with
+/// over total branch-and-bound nodes), host_cpus. Compare against the
+/// committed baseline with tools/bench_diff.py. Export with
 ///   --benchmark_filter=Representation --benchmark_format=json
 ///     > BENCH_checker_compiled.json
-void run_representation(benchmark::State& state, bool compiled) {
+void BM_RepresentationCompiled(benchmark::State& state) {
   constexpr std::size_t kHistories = 24;
   static const std::vector<model::TransactionSet> histories = batch_histories(kHistories);
 
@@ -264,9 +261,7 @@ void run_representation(benchmark::State& state, bool compiled) {
     std::uint64_t nodes = 0;
     for (const model::TransactionSet& h : histories) {
       const checker::CheckResult r =
-          compiled ? checker::check_exhaustive(ct::IsolationLevel::kSerializable, h, opts)
-                   : checker::reference::check_exhaustive_hashed(
-                         ct::IsolationLevel::kSerializable, h, opts);
+          checker::check_exhaustive(ct::IsolationLevel::kSerializable, h, opts);
       benchmark::DoNotOptimize(r.outcome);
       nodes += r.nodes_explored;
     }
@@ -278,20 +273,6 @@ void run_representation(benchmark::State& state, bool compiled) {
   state.counters["histories_per_sec"] = static_cast<double>(kHistories) / secs_per_iter;
   state.counters["ns_per_node"] = secs * 1e9 / static_cast<double>(total_nodes);
   state.counters["host_cpus"] = std::thread::hardware_concurrency();
-  if (!compiled) {
-    baselines()["Representation"] = secs_per_iter;
-  } else if (baselines().count("Representation")) {
-    state.counters["speedup_vs_hashed"] = baselines()["Representation"] / secs_per_iter;
-  }
-}
-
-void BM_RepresentationHashed(benchmark::State& state) {
-  run_representation(state, /*compiled=*/false);
-}
-BENCHMARK(BM_RepresentationHashed)->UseRealTime();
-
-void BM_RepresentationCompiled(benchmark::State& state) {
-  run_representation(state, /*compiled=*/true);
 }
 BENCHMARK(BM_RepresentationCompiled)->UseRealTime();
 

@@ -1,5 +1,5 @@
 // Streaming audit throughput: the incremental compiled online checker vs its
-// two ablations, on the same store-generated commit stream.
+// fresh-recompile ablation, on the same store-generated commit stream.
 //
 //  * Incremental      — one OnlineChecker fed blocks via append_all; each
 //    block is one CompiledDelta (extend the interners, re-resolve pending
@@ -9,14 +9,11 @@
 //    deltas existed conceptually: at every block boundary, build a fresh
 //    checker and replay the whole prefix. Work grows quadratically in the
 //    number of blocks.
-//  * Hashed           — checker::reference::OnlineCheckerHashed, the frozen
-//    pre-compile monitor: per-transaction appends with id-hash writer probes,
-//    O(n) recency scans and O(n) retroactive scans.
 //
 // Counters per exported row: appends_per_sec (steady-state transactions
 // audited per second), host_cpus, and on the incremental runs
-// speedup_vs_hashed / speedup_vs_recompile (the baselines run first in the
-// same process). BM_OnlineObsOverhead runs the block=100
+// speedup_vs_recompile (the baseline runs first in the same process).
+// BM_OnlineObsOverhead runs the block=100
 // configuration with the metrics registry alternately enabled and disabled
 // in paired halves and exports obs_overhead_pct — the instrumented-vs-off
 // delta CI gates at ≤5%. Export with
@@ -31,13 +28,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <map>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "checker/online.hpp"
-#include "checker/reference.hpp"
 #include "obs/metrics.hpp"
 #include "store/runner.hpp"
 #include "workload/workload.hpp"
@@ -64,9 +58,10 @@ const model::TransactionSet& stream() {
   return txns;
 }
 
-std::map<std::string, double>& baselines() {
-  static std::map<std::string, double> b;
-  return b;
+/// Seconds per iteration of the fresh-recompile baseline; 0 until it runs.
+double& recompile_secs_per_iter() {
+  static double secs = 0;
+  return secs;
 }
 
 void record(benchmark::State& state, double secs_per_iter, std::size_t appends) {
@@ -75,23 +70,6 @@ void record(benchmark::State& state, double secs_per_iter, std::size_t appends) 
   state.counters["appends_per_sec"] = static_cast<double>(appends) / secs_per_iter;
   state.counters["host_cpus"] = std::thread::hardware_concurrency();
 }
-
-/// Frozen hashed monitor, per-transaction appends over the whole stream.
-void BM_OnlineHashed(benchmark::State& state) {
-  const model::TransactionSet& txns = stream();
-  double secs = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    checker::reference::OnlineCheckerHashed chk;
-    benchmark::DoNotOptimize(chk.append_all(txns));
-    benchmark::DoNotOptimize(chk.all_ok());
-    secs += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-  const double secs_per_iter = secs / static_cast<double>(state.iterations());
-  baselines()["Hashed"] = secs_per_iter;
-  record(state, secs_per_iter, txns.size());
-}
-BENCHMARK(BM_OnlineHashed)->UseRealTime();
 
 /// Re-audit from scratch at every block boundary (block size = Arg). The
 /// appends counted are the stream's transactions — the quadratic replay work
@@ -112,7 +90,7 @@ void BM_OnlineFreshRecompile(benchmark::State& state) {
     secs += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   }
   const double secs_per_iter = secs / static_cast<double>(state.iterations());
-  baselines()["FreshRecompile"] = secs_per_iter;
+  recompile_secs_per_iter() = secs_per_iter;
   record(state, secs_per_iter, all.size());
 }
 BENCHMARK(BM_OnlineFreshRecompile)->Arg(100)->UseRealTime();
@@ -135,12 +113,8 @@ void BM_OnlineIncremental(benchmark::State& state) {
   }
   const double secs_per_iter = secs / static_cast<double>(state.iterations());
   record(state, secs_per_iter, all.size());
-  if (baselines().count("Hashed")) {
-    state.counters["speedup_vs_hashed"] = baselines()["Hashed"] / secs_per_iter;
-  }
-  if (baselines().count("FreshRecompile")) {
-    state.counters["speedup_vs_recompile"] =
-        baselines()["FreshRecompile"] / secs_per_iter;
+  if (recompile_secs_per_iter() > 0) {
+    state.counters["speedup_vs_recompile"] = recompile_secs_per_iter() / secs_per_iter;
   }
 }
 BENCHMARK(BM_OnlineIncremental)->Arg(1)->Arg(10)->Arg(100)->UseRealTime();

@@ -403,9 +403,14 @@ void OnlineChecker::check_snapshot(TxnIdx d, StateIndex complete_lo,
     violate(IsolationLevel::kSerializable, d,
             "parent state is not complete in the apply order");
   }
-  if (tracks(IsolationLevel::kStrictSerializable, d) && !parent_complete) {
+  // Strict serializability is gated like the timed SI levels below: without
+  // timestamps its real-time clause would hold only vacuously.
+  const bool timestamped = stream_.has_timestamps(d);
+  if (tracks(IsolationLevel::kStrictSerializable, d) &&
+      !(timestamped && parent_complete)) {
     violate(IsolationLevel::kStrictSerializable, d,
-            "parent state is not complete in the apply order");
+            timestamped ? "parent state is not complete in the apply order"
+                        : "requires the time oracle");
   }
 
   // The snapshot family.
@@ -421,9 +426,9 @@ void OnlineChecker::check_snapshot(TxnIdx d, StateIndex complete_lo,
   // Real-time recency bound: # applied transactions with commit < start(d).
   // A timed level that is still alive has already enforced, at every prior
   // append, that the applied stream is fully timestamped (time-oracle clause)
-  // and in strictly increasing commit order (C-ORD clause) — so the hashed
-  // engine's O(n) time_precedes scan collapses to one binary search over the
-  // dense prefix. Computed lazily: only timed levels that survive their
+  // and in strictly increasing commit order (C-ORD clause) — so an O(n)
+  // time_precedes scan collapses to one binary search over the dense
+  // prefix. Computed lazily: only timed levels that survive their
   // preconditions need it, and only they may trust it.
   //
   // Assigned mode voids the sorted invariant: untimed-level transactions

@@ -20,9 +20,7 @@
 // instead of an O(n) scan). The routine has a start-only mode, fixed at
 // construction: a checker whose levels all decide on read-state STARTS (RU,
 // RC, RA, PSI) skips the per-read timeline binary search that interval ENDS
-// need (Serializable, Strict Serializable, the SI family, assigned mode). The frozen per-transaction hashed monitor lives in
-// checker::reference::OnlineCheckerHashed for differential testing and as
-// the bench baseline.
+// need (Serializable, Strict Serializable, the SI family, assigned mode).
 //
 // The verdict is per-execution (CT_I over THIS order), the streaming
 // analogue of ct::test_execution. A violation here means the system's own

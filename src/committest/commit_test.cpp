@@ -205,6 +205,16 @@ CommitTestResult CommitTester::test_ser(std::size_t dense) const {
 }
 
 CommitTestResult CommitTester::test_sser(std::size_t dense) const {
+  // Like the timed SI levels: without timestamps the real-time clause below
+  // would hold only vacuously (an empty predecessor set).
+  const CompiledHistory& ch = a_->compiled();
+  const TxnIdx d = static_cast<TxnIdx>(dense);
+  if (!ch.has_timestamps(d)) {
+    return CommitTestResult::fail(
+        std::string(name_of(IsolationLevel::kStrictSerializable)) +
+        " requires the time oracle, but " + crooks::to_string(ch.id_of(d)) +
+        " has no timestamps");
+  }
   if (CommitTestResult ser = test_ser(dense); !ser) return ser;
   // ∀T' <_s T ⇒ s_{T'} →* s_T: every real-time predecessor's state precedes.
   const StateIndex bound = realtime_pred_max_state(dense);

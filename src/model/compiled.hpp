@@ -44,7 +44,7 @@
 // order admissibility, phenomena) is defined on the underlying observations,
 // and the compiled fields are bijective images of them. The differential suite
 // (tests/compiled_history_test.cpp) checks verdict-for-verdict agreement with
-// the frozen hash-based reference on every level.
+// the paper's Definition 5, decided by trying every order, on every level.
 #pragma once
 
 #include <algorithm>

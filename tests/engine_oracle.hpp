@@ -16,22 +16,114 @@
 //     single explain_refutation() entry point, so divergence means an engine
 //     refuted a different history than the one it was given.
 //
+// The exhaustive engine itself answers to definition_verdicts() below: the
+// paper's Definition 5 decided by trying every order.
+//
 // The classic anomaly × level scenarios (anomaly_matrix_test.cpp's table)
 // live here too, so engine suites can re-run them without duplicating it.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <initializer_list>
+#include <numeric>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "checker/checker.hpp"
+#include "committest/commit_test.hpp"
+#include "model/analysis.hpp"
 
 namespace crooks::checker::oracle {
 
 using L = ct::IsolationLevel;
+using VersionOrder = std::unordered_map<Key, std::vector<TxnId>>;
+
+// --- Definition 5 by enumeration --------------------------------------------
+//
+// ∃e ∀T CT(T, e), decided the one way that shares no reasoning with the
+// engines: run the commit tests of Tables 1–2 (ct::CommitTester) on every
+// order of the history. Deciding ∃e is NP-hard in general, so this is for
+// small histories only.
+
+inline constexpr std::size_t kDefinitionMaxTxns = 8;
+
+/// Call visit(tester) on the commit tests of every execution of `ch` until
+/// visit returns false. With `vo`, only executions that install each listed
+/// key's writers in exactly the listed sequence (restricted to members of
+/// the history) are visited: the execution space CheckOptions::version_order
+/// leaves the engines.
+template <typename Visit>
+void for_each_execution(const model::CompiledHistory& ch, const VersionOrder* vo,
+                        Visit&& visit) {
+  ASSERT_LE(ch.size(), kDefinitionMaxTxns) << "enumeration is factorial";
+  static const VersionOrder kUnrestricted;
+  std::vector<std::pair<model::KeyIdx, std::vector<std::uint32_t>>> installs;
+  for (const auto& [key, installers] : vo != nullptr ? *vo : kUnrestricted) {
+    const model::KeyIdx k = ch.keys().find(key);
+    if (k == model::kNoKeyIdx) continue;  // no member touches the key
+    auto& want = installs.emplace_back(k, std::vector<std::uint32_t>{}).second;
+    for (TxnId id : installers) {
+      if (ch.txns().contains(id)) {
+        want.push_back(static_cast<std::uint32_t>(ch.txns().dense_index_of(id)));
+      }
+    }
+  }
+  const auto installs_as_listed = [&](const std::vector<std::uint32_t>& order) {
+    for (const auto& [k, want] : installs) {
+      auto next = want.begin();
+      for (std::uint32_t d : order) {
+        if (ch.writes_key(d, k) && (next == want.end() || *next++ != d)) return false;
+      }
+      if (next != want.end()) return false;
+    }
+    return true;
+  };
+
+  std::vector<std::uint32_t> order(ch.size());
+  std::iota(order.begin(), order.end(), 0u);
+  do {
+    if (!installs_as_listed(order)) continue;
+    const model::Execution e = model::Execution::from_dense(ch.txns(), order);
+    const model::ReadStateAnalysis analysis(ch, e);
+    if (!visit(ct::CommitTester(analysis))) return;
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+/// The levels at which Definition 5 holds, all ten from one enumeration.
+inline std::set<L> definition_verdicts(const model::CompiledHistory& ch,
+                                       const VersionOrder* vo = nullptr) {
+  std::set<L> sat;
+  for_each_execution(ch, vo, [&](const ct::CommitTester& tester) {
+    for (L level : ct::kAllLevels) {
+      if (!sat.contains(level) && tester.test_all(level).ok) sat.insert(level);
+    }
+    return sat.size() < ct::kAllLevels.size();
+  });
+  return sat;
+}
+
+/// Definition 5 under a per-transaction assignment: ∃e ∀T CT_{A(T)}(T, e).
+inline bool definition_holds(const ct::LevelAssignment& levels,
+                             const model::CompiledHistory& ch,
+                             const VersionOrder* vo = nullptr) {
+  bool sat = false;
+  for_each_execution(ch, vo, [&](const ct::CommitTester& tester) {
+    sat = tester.test_all(levels).ok;
+    return !sat;
+  });
+  return sat;
+}
+
+/// The outcome an engine must report for `level` given the definition's
+/// verdicts.
+inline Outcome definition_outcome(const std::set<L>& sat, L level) {
+  return sat.contains(level) ? Outcome::kSatisfiable : Outcome::kUnsatisfiable;
+}
 
 struct Scenario {
   std::string name;

@@ -3,6 +3,9 @@
 // The generator produces arbitrary observations — reads of later writers, of
 // unknown writers, phantom values — and the properties assert that the
 // checker's engines stay internally consistent on ALL of them:
+//   * the unbounded exhaustive verdict is Definition 5's, decided by trying
+//     every order (oracle::definition_verdicts), for single levels and for
+//     random per-transaction assignments,
 //   * every witness verifies against the canonical commit tests,
 //   * verdicts are monotone over the hierarchy,
 //   * the graph engine never contradicts the exhaustive oracle,
@@ -15,8 +18,8 @@
 
 #include "checker/checker.hpp"
 #include "checker/online.hpp"
-#include "checker/reference.hpp"
 #include "common/rng.hpp"
+#include "engine_oracle.hpp"
 #include "model/analysis.hpp"
 #include "report/serialize.hpp"
 #include "workload/observations.hpp"
@@ -27,6 +30,8 @@ namespace {
 using checker::CheckOptions;
 using checker::CheckResult;
 using checker::Outcome;
+using checker::oracle::definition_outcome;
+using checker::oracle::definition_verdicts;
 using ct::IsolationLevel;
 
 class Fuzz : public ::testing::TestWithParam<std::uint64_t> {
@@ -109,10 +114,18 @@ TEST_P(Fuzz, DispatchAgreesWithOracle) {
 }
 
 TEST_P(Fuzz, UntimedObservationsKillTimedLevelsOnly) {
+  // A timed level needs the time oracle everywhere: in every engine, in the
+  // streaming monitor, and in the commit tests of any one order.
   const wl::FuzzedObservations f = make(/*timestamps=*/false);
+  checker::OnlineChecker monitor;
+  monitor.append_all(f.txns);
+  const model::Execution identity = model::Execution::identity(f.txns);
   for (IsolationLevel level : ct::kAllLevels) {
     if (!ct::requires_timestamps(level)) continue;
     EXPECT_TRUE(checker::check(level, f.txns).unsatisfiable()) << ct::name_of(level);
+    EXPECT_FALSE(monitor.status(level).ok) << ct::name_of(level);
+    EXPECT_FALSE(checker::verify_witness(level, f.txns, identity).ok)
+        << ct::name_of(level);
   }
   EXPECT_TRUE(checker::check(IsolationLevel::kReadUncommitted, f.txns).satisfiable());
 }
@@ -155,10 +168,12 @@ TEST_P(Fuzz, RandomizedBudgetsAndThreadsNeverContradict) {
   // the exhaustive engine and the full dispatcher. A truncated or parallel
   // run may give up (kUnknown) but must never contradict the unbounded
   // sequential oracle, must reproduce its own verdict, and every witness
-  // must verify.
+  // must verify. The oracle itself must decide Definition 5.
   const std::uint64_t seed = GetParam();
   Rng rng(seed * 0x9e3779b9ULL + 17);
   const wl::FuzzedObservations f = make();
+  const std::set<IsolationLevel> sat =
+      definition_verdicts(model::CompiledHistory(f.txns));
 
   CheckOptions fuzzed;
   fuzzed.exhaustive_threshold = rng.below(12);  // sometimes below |𝒯|
@@ -173,13 +188,8 @@ TEST_P(Fuzz, RandomizedBudgetsAndThreadsNeverContradict) {
   unbounded.threads = 1;
   for (IsolationLevel level : ct::kAllLevels) {
     const CheckResult oracle = checker::check_exhaustive(level, f.txns, unbounded);
-    ASSERT_NE(oracle.outcome, Outcome::kUnknown) << config;
-    // The frozen hash-based engine is a second, independent oracle: the
-    // compiled representation must not change any unbounded verdict.
-    const CheckResult hashed =
-        checker::reference::check_exhaustive_hashed(level, f.txns, unbounded);
-    ASSERT_EQ(hashed.outcome, oracle.outcome)
-        << ct::name_of(level) << " hashed reference disagrees: " << config;
+    ASSERT_EQ(oracle.outcome, definition_outcome(sat, level))
+        << ct::name_of(level) << " exhaustive disagrees with Definition 5: " << config;
     const CheckResult budgeted = checker::check_exhaustive(level, f.txns, fuzzed);
     const CheckResult again = checker::check_exhaustive(level, f.txns, fuzzed);
     EXPECT_EQ(budgeted.outcome, again.outcome)
@@ -205,8 +215,8 @@ TEST_P(Fuzz, MixedTimestampsBudgetsAndThreads) {
   // Strict-weak-order regression under the same randomized budget/thread
   // sweep: sets mixing timestamped and untimestamped transactions used to
   // hit undefined behaviour in the candidate sort. They must now behave
-  // like any other input — definite sequential verdicts, agreement with the
-  // hashed reference, and budgeted/parallel runs that never contradict.
+  // like any other input — sequential verdicts that decide Definition 5,
+  // and budgeted/parallel runs that never contradict.
   const std::uint64_t seed = GetParam();
   Rng rng(seed * 0x51ed2701ULL + 5);
   wl::ObservationFuzzOptions o;
@@ -214,6 +224,8 @@ TEST_P(Fuzz, MixedTimestampsBudgetsAndThreads) {
   o.keys = 4;
   o.p_untimestamped = 0.35;
   const wl::FuzzedObservations f = wl::fuzz_observations(seed, o);
+  const std::set<IsolationLevel> sat =
+      definition_verdicts(model::CompiledHistory(f.txns));
 
   CheckOptions fuzzed;
   fuzzed.max_nodes = 1 + rng.below(2000);
@@ -222,10 +234,7 @@ TEST_P(Fuzz, MixedTimestampsBudgetsAndThreads) {
   unbounded.threads = 1;
   for (IsolationLevel level : ct::kAllLevels) {
     const CheckResult oracle = checker::check_exhaustive(level, f.txns, unbounded);
-    ASSERT_NE(oracle.outcome, Outcome::kUnknown) << ct::name_of(level);
-    EXPECT_EQ(
-        checker::reference::check_exhaustive_hashed(level, f.txns, unbounded).outcome,
-        oracle.outcome)
+    ASSERT_EQ(oracle.outcome, definition_outcome(sat, level))
         << ct::name_of(level) << " seed=" << seed;
     const CheckResult budgeted = checker::check_exhaustive(level, f.txns, fuzzed);
     if (budgeted.outcome != Outcome::kUnknown) {
@@ -239,15 +248,20 @@ TEST_P(Fuzz, MixedTimestampsBudgetsAndThreads) {
 }
 
 TEST_P(Fuzz, DirectEngineAgreesWithBothOracles) {
-  // The direct tier against two independent oracles — the compiled exhaustive
-  // engine and the frozen hashed reference — with and without an
-  // authoritative version order. At |𝒯| = 7 the PSI fallback budget always
-  // suffices, so kUnknown is a failure, not an allowed divergence.
+  // The direct tier against the exhaustive engine, with and without an
+  // authoritative version order, and the exhaustive engine against
+  // Definition 5 under the version order. (Unrestricted, the exhaustive
+  // verdict on this same input answers to Definition 5 in
+  // RandomizedBudgetsAndThreadsNeverContradict.) At |𝒯| = 7 the PSI
+  // fallback budget always suffices, so kUnknown is a failure, not an
+  // allowed divergence.
   const wl::FuzzedObservations f = make();
   CheckOptions unbounded;
   unbounded.threads = 1;
   CheckOptions with_vo = unbounded;
   with_vo.version_order = &f.version_order;
+  const std::set<IsolationLevel> sat_vo =
+      definition_verdicts(model::CompiledHistory(f.txns), &f.version_order);
   for (IsolationLevel level :
        {IsolationLevel::kReadCommitted, IsolationLevel::kReadAtomic,
         IsolationLevel::kPSI}) {
@@ -256,10 +270,9 @@ TEST_P(Fuzz, DirectEngineAgreesWithBothOracles) {
                                  (o == &with_vo ? " with vo" : " without vo");
       const CheckResult oracle = checker::check_exhaustive(level, f.txns, *o);
       ASSERT_NE(oracle.outcome, Outcome::kUnknown) << config;
-      ASSERT_EQ(
-          checker::reference::check_exhaustive_hashed(level, f.txns, *o).outcome,
-          oracle.outcome)
-          << config;
+      if (o == &with_vo) {
+        ASSERT_EQ(oracle.outcome, definition_outcome(sat_vo, level)) << config;
+      }
       const CheckResult direct = checker::check_direct(level, f.txns, *o);
       ASSERT_NE(direct.outcome, Outcome::kUnknown)
           << config << ": " << direct.detail;
@@ -309,9 +322,10 @@ TEST_P(Fuzz, RandomLevelMapAgreesAcrossEngines) {
   // The mixed-level sweep: each transaction independently draws a random
   // `level=` annotation, the assignment resolves annotations over a rotating
   // fallback, and the engines must stay mutually consistent on the mixed
-  // question exactly as they do on the global one — exhaustive decides,
-  // deciding engines agree, witnesses verify under the assignment, and a
-  // serialization round-trip preserves the annotations and the verdict.
+  // question exactly as they do on the global one — exhaustive decides
+  // Definition 5 under the assignment, deciding engines agree, witnesses
+  // verify under the assignment, and a serialization round-trip preserves
+  // the annotations and the verdict.
   const std::uint64_t seed = GetParam();
   wl::ObservationFuzzOptions o;
   o.transactions = 7;
@@ -329,6 +343,9 @@ TEST_P(Fuzz, RandomLevelMapAgreesAcrossEngines) {
   if (seed % 2 == 0) opts.version_order = &f.version_order;
   const CheckResult oracle = checker::check_exhaustive(assignment, ch, opts);
   ASSERT_NE(oracle.outcome, Outcome::kUnknown) << assignment.describe();
+  EXPECT_EQ(oracle.satisfiable(),
+            checker::oracle::definition_holds(assignment, ch, opts.version_order))
+      << assignment.describe();
   if (oracle.satisfiable()) {
     ASSERT_TRUE(oracle.witness.has_value());
     const ct::ExecutionVerdict v =

@@ -5,22 +5,13 @@
 
 #include "common/rng.hpp"
 #include "model/analysis.hpp"
+#include "state_oracle.hpp"
 #include "workload/observations.hpp"
 
 namespace crooks::model {
 namespace {
 
 class ModelProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-/// Does state s (materialized) serve operation o of transaction t?
-bool state_serves(const std::map<Key, Value>& state, const Transaction& t,
-                  const Operation& op, bool internal) {
-  if (op.is_write() || internal) return true;  // conventions: any state ≤ parent
-  const auto it = state.find(op.key);
-  const TxnId current = it == state.end() ? kInitTxn : it->second.writer;
-  return !op.value.phantom && current == op.value.writer &&
-         op.value.writer != t.id();
-}
 
 TEST_P(ModelProperty, IntervalsMatchMaterializedStates) {
   wl::ObservationFuzzOptions opts;
@@ -37,33 +28,8 @@ TEST_P(ModelProperty, IntervalsMatchMaterializedStates) {
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng.below(i)]);
   }
-  const Execution e(f.txns, order);
-  const ReadStateAnalysis a(f.txns, e);
-
-  // Materialize every state once.
-  std::vector<std::map<Key, Value>> states;
-  for (StateIndex s = 0; s <= e.last_state(); ++s) {
-    states.push_back(e.materialize(f.txns, s));
-  }
-
-  for (const Transaction& t : f.txns) {
-    const std::size_t dense = f.txns.dense_index_of(t.id());
-    const TxnAnalysis& ta = a.txn(dense);
-    for (std::size_t i = 0; i < t.ops().size(); ++i) {
-      const Operation& op = t.ops()[i];
-      for (StateIndex s = 0; s <= e.last_state(); ++s) {
-        const bool in_interval = ta.ops[i].rs.contains(s);
-        const bool brute = s <= ta.parent &&
-                           state_serves(states[static_cast<std::size_t>(s)], t, op,
-                                        ta.ops[i].internal);
-        // Special case: a read of one's own never-made write has empty RS
-        // even though no state "contradicts" it; handled by state_serves.
-        EXPECT_EQ(in_interval, brute)
-            << "seed " << GetParam() << " " << to_string(t.id()) << " op " << i
-            << " (" << to_string(op) << ") state s" << s;
-      }
-    }
-  }
+  expect_read_states_match_materialized(f.txns, Execution(f.txns, order),
+                                        "seed " + std::to_string(GetParam()));
 }
 
 TEST_P(ModelProperty, NoConfMatchesMaterializedDeltas) {
