@@ -20,7 +20,12 @@
 // 10^4 — its verification builds the quadratic-bit precedence closure
 // (n^2/8 bytes), and the direct engine's own saturation gate
 // (kDirectPsiMaxTxns) declines past 16384 transactions rather than pretend
-// the pass is still linear. ns_per_txn is computed from the best (minimum)
+// the pass is still linear. One refutation row, ser_components_auto, runs
+// the kAuto dispatch at Serializable, with no version order, on the same
+// clean history plus three write skews on dedicated keys, 10^3..10^5: the
+// heuristic candidates fail, and the component step refutes the first
+// skew's two-transaction component (its ns_per_txn counts all n + 6
+// transactions). ns_per_txn is computed from the best (minimum)
 // per-iteration wall time, the stable signal on a shared host; CI gates
 // direct RC/RA flatness (ns_per_txn at 10^5 within 2x of 10^3) on it.
 //
@@ -121,6 +126,41 @@ const Fixture& fixture(std::size_t n) {
   }
   return *it->second;
 }
+
+/// The clean history of n transactions followed by three write skews, each
+/// on two keys no other transaction touches: two concurrent withdrawals read
+/// both keys at ⊥ and each write one. Serializable fails on every skew, and
+/// nowhere else.
+struct SkewFixture {
+  model::TransactionSet txns;
+  model::CompiledHistory ch;
+  explicit SkewFixture(std::size_t n) : txns(with_skews(n)), ch(txns) {}
+
+  static model::TransactionSet with_skews(std::size_t n) {
+    const model::TransactionSet clean = build_clean_history(n);
+    std::vector<model::Transaction> txns(clean.begin(), clean.end());
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const std::uint64_t x = kKeys + 2 * i, y = x + 1;
+      const auto id = static_cast<std::uint64_t>(n) + 1 + 2 * i;
+      const auto t = static_cast<Timestamp>(2 * id);
+      txns.push_back(model::TxnBuilder(id).read(x, 0).read(y, 0).write(x).at(t, t + 3).build());
+      txns.push_back(
+          model::TxnBuilder(id + 1).read(x, 0).read(y, 0).write(y).at(t + 1, t + 2).build());
+    }
+    return model::TransactionSet(std::move(txns));
+  }
+};
+
+const SkewFixture& skew_fixture(std::size_t n) {
+  static std::map<std::size_t, std::unique_ptr<SkewFixture>> cache;
+  auto it = cache.find(n);
+  if (it == cache.end()) {
+    it = cache.emplace(n, std::make_unique<SkewFixture>(n)).first;
+  }
+  return *it->second;
+}
+
+constexpr std::array<std::size_t, 3> kComponentSizes{1000, 10000, 100000};
 
 checker::CheckResult run_engine(
     L level, const model::CompiledHistory& ch, checker::EngineSelect engine,
@@ -261,6 +301,16 @@ void assert_mixed_parity() {
   }
 }
 
+/// Every ser_components_auto size must come back UNSATISFIABLE: the rows
+/// time a refutation, never a budget-exhausted search.
+void assert_components_refute() {
+  for (std::size_t n : kComponentSizes) {
+    const auto r = run_engine(L::kSerializable, skew_fixture(n).ch,
+                              checker::EngineSelect::kAuto, nullptr);
+    if (!r.unsatisfiable()) parity_failure("expected UNSAT", L::kSerializable, n, r);
+  }
+}
+
 void BM_Engine(benchmark::State& state, L level, checker::EngineSelect engine) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Fixture& f = fixture(n);  // build outside the timed region
@@ -329,6 +379,36 @@ void BM_MixedDirect(benchmark::State& state) {
 BENCHMARK(BM_MixedDirect)->Name("BM_Engine/mixed_rc_ra_psi_direct")
     ->Arg(1000)->Arg(10000)->UseRealTime();
 
+// Refutation through the kAuto dispatch's component step (see the header).
+void BM_ComponentsAuto(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const SkewFixture& f = skew_fixture(n);
+  double best = 1e100;
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r =
+        run_engine(L::kSerializable, f.ch, checker::EngineSelect::kAuto, nullptr);
+    benchmark::DoNotOptimize(r.outcome);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    best = std::min(best, secs);
+    nodes = r.nodes_explored;
+    if (!r.unsatisfiable()) {
+      parity_failure("verdict changed mid-bench", L::kSerializable, n, r);
+    }
+  }
+  const auto txns = static_cast<double>(f.ch.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(f.ch.size()) * state.iterations());
+  state.counters["txns"] = txns;
+  state.counters["ns_per_txn"] = best * 1e9 / txns;
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_ComponentsAuto)->Name("BM_Engine/ser_components_auto")
+    ->Arg(kComponentSizes[0])->Arg(kComponentSizes[1])->Arg(kComponentSizes[2])
+    ->UseRealTime();
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -336,6 +416,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   assert_parity();
   assert_mixed_parity();
+  assert_components_refute();
   benchmark::RunSpecifiedBenchmarks();
   // Final registry scrape for the CI direct-engine gate
   // (crooks_direct_checks_total must be nonzero after the forced rows).

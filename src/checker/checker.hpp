@@ -31,7 +31,15 @@
 //
 // check() picks automatically: direct for its eligible levels, else complete
 // graph decision when available, else exhaustive when |𝒯| is small, else
-// heuristic. CheckOptions::engine overrides the choice.
+// heuristic (and, for Adya SI, the lattice). What those leave undecided goes
+// to the component step first: the history splits into key-connected
+// components — transactions joined by a shared key or a read-from edge — and
+// each is decided by the same dispatch, smallest first. A refuted component
+// refutes the whole history at every level; at the untimed levels (RU, RC,
+// RA, PSI, Adya SI, SER and mixes of these) the component witnesses join into
+// one, verified against the whole history. Only a one-component history, or a
+// timed level with no component refuted, reaches the bounded exhaustive
+// search. CheckOptions::engine overrides the choice.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +104,10 @@ struct CheckResult {
   std::uint64_t nodes_explored = 0;
   /// Dependency-graph edges walked by the graph engine (0 for exhaustive).
   std::uint64_t edges_visited = 0;
-  /// Which engine produced the verdict: "exhaustive", "graph", "heuristic",
-  /// "hierarchy", or "" for trivial (empty-set) answers.
+  /// Which engine produced the verdict: "direct", "exhaustive", "graph",
+  /// "heuristic", "hierarchy", or "" for trivial (empty-set) answers. A
+  /// verdict of the component step names the deciding component's engine
+  /// (for a joined witness, the largest component's).
   std::string engine;
   /// Set on (some) kUnsatisfiable results: the failing commit test, localized.
   std::optional<ReadDiagnosis> diagnosis;
@@ -127,6 +137,12 @@ struct CheckOptions {
   EngineSelect engine = EngineSelect::kAuto;
 
   /// Node budget for the exhaustive engine; exceeding it yields kUnknown.
+  /// It bounds one sequential search. The branch-parallel search (threads >
+  /// 1, |𝒯| ≥ 4) gives each of its |𝒯| top-level branches the whole budget,
+  /// so it may explore up to |𝒯| × max_nodes nodes before it gives up: 80M
+  /// on a 20-transaction refutation at the default. check()'s component
+  /// step spends one budget across components, each getting what the earlier
+  /// ones left (at threads > 1 a satisfiable component is not charged).
   std::uint64_t max_nodes = 4'000'000;
 
   /// Authoritative per-key install order, when the system under check can
@@ -285,6 +301,9 @@ ct::ExecutionVerdict verify_witness(ct::IsolationLevel level,
 //    family (C-ORD pins the commit order for every transaction); otherwise
 //    refutes at the meet of the present levels (sound by per-transaction
 //    monotonicity) and verifies heuristic candidates per transaction.
+//  * Components  — as for a global level; each component keeps its
+//    transactions' own levels, and witnesses join only when no transaction's
+//    level is timed.
 
 /// Mixed-level check over one history. Dispatch mirrors check(level, ...).
 CheckResult check(const ct::LevelAssignment& levels,

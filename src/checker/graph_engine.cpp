@@ -20,6 +20,10 @@
 //
 // Everything found is re-verified against the canonical commit tests before
 // being reported — the engine never returns an unchecked witness.
+//
+// check()'s kAuto dispatch lives here too, with its component step: what the
+// polynomial tiers leave undecided is decided one key-connected component at
+// a time before any whole-history search (see check_components).
 #include <algorithm>
 #include <numeric>
 #include <queue>
@@ -149,6 +153,45 @@ std::optional<std::vector<TxnId>> commit_sorted(const CompiledHistory& ch) {
   return order;
 }
 
+/// The smallest key whose writers `order` installs against the version
+/// order, or nullopt when it installs every listed key as listed (restricted
+/// to members, as the exhaustive engine reads it). Candidate orders not built
+/// from the install order must pass this before they can witness the
+/// restricted question (CheckOptions::version_order).
+std::optional<Key> install_mismatch(
+    const CompiledHistory& ch,
+    const std::unordered_map<Key, std::vector<TxnId>>* version_order,
+    const std::vector<TxnId>& order) {
+  if (version_order == nullptr) return std::nullopt;
+  std::vector<std::size_t> pos(ch.size());
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    pos[ch.txns().dense_index_of(order[j])] = j;
+  }
+  std::optional<Key> first;
+  for (const auto& [key, installers] : *version_order) {
+    const model::KeyIdx k = ch.keys().find(key);
+    if (k == model::kNoKeyIdx) continue;
+    std::vector<TxnIdx> listed;
+    for (TxnId id : installers) {
+      const std::size_t d = ch.txns().dense_index_if(id);
+      if (d != model::TransactionSet::npos) listed.push_back(static_cast<TxnIdx>(d));
+    }
+    const auto writers = ch.writers_of(k);
+    std::vector<TxnIdx> applied(writers.begin(), writers.end());
+    std::sort(applied.begin(), applied.end(),
+              [&](TxnIdx a, TxnIdx b) { return pos[a] < pos[b]; });
+    if (listed != applied && (!first.has_value() || key.value < first->value)) {
+      first = key;
+    }
+  }
+  return first;
+}
+
+std::string commit_order_against(Key k) {
+  return "C-ORD pins the execution to commit-timestamp order, which installs "
+         "the writers of " + crooks::to_string(k) + " against the version order";
+}
+
 /// The engine body. Fills `eff`; the public wrapper below copies the effort
 /// into the result, stamps the engine name, attaches the refutation
 /// diagnosis and reports to the metrics/trace layers.
@@ -184,6 +227,9 @@ CheckResult check_graph_impl(IsolationLevel level, const CompiledHistory& ch,
     if (!order.has_value()) {
       return {Outcome::kUnsatisfiable, std::nullopt,
               "C-ORD needs distinct commit timestamps", 0};
+    }
+    if (auto k = install_mismatch(ch, opts.version_order, *order)) {
+      return {Outcome::kUnsatisfiable, std::nullopt, commit_order_against(*k), 0};
     }
     model::Execution e(ch.txns(), std::move(*order));
     eff.nodes += ch.size();
@@ -239,7 +285,8 @@ CheckResult check_graph_impl(IsolationLevel level, const CompiledHistory& ch,
 
   // --- Heuristic: try natural candidate orders, verify each. --------------
   std::vector<std::pair<std::string, std::vector<TxnId>>> candidates;
-  if (auto cs = commit_sorted(ch); cs.has_value()) {
+  if (auto cs = commit_sorted(ch);
+      cs.has_value() && !install_mismatch(ch, opts.version_order, *cs)) {
     candidates.emplace_back("commit-timestamp order", std::move(*cs));
   }
   {
@@ -317,6 +364,9 @@ CheckResult check_graph_impl(const ct::LevelAssignment& levels,
       return {Outcome::kUnsatisfiable, std::nullopt,
               "C-ORD needs distinct commit timestamps", 0};
     }
+    if (auto k = install_mismatch(ch, opts.version_order, *order)) {
+      return {Outcome::kUnsatisfiable, std::nullopt, commit_order_against(*k), 0};
+    }
     model::Execution e(ch.txns(), std::move(*order));
     eff.nodes += ch.size();
     ct::ExecutionVerdict v = verify_witness(levels, ch, e);
@@ -359,7 +409,8 @@ CheckResult check_graph_impl(const ct::LevelAssignment& levels,
 
   // Heuristic tier: natural candidate orders, each verified per transaction.
   std::vector<std::pair<std::string, std::vector<TxnId>>> candidates;
-  if (auto cs = commit_sorted(ch); cs.has_value()) {
+  if (auto cs = commit_sorted(ch);
+      cs.has_value() && !install_mismatch(ch, opts.version_order, *cs)) {
     candidates.emplace_back("commit-timestamp order", std::move(*cs));
   }
   try {
@@ -468,6 +519,220 @@ CheckResult check_graph(const ct::LevelAssignment& levels, const CompiledHistory
 namespace {
 
 CheckResult check_dispatch(IsolationLevel level, const CompiledHistory& ch,
+                           const CheckOptions& opts);
+CheckResult check_dispatch(const ct::LevelAssignment& levels,
+                           const CompiledHistory& ch, const CheckOptions& opts);
+
+// --- The component step ------------------------------------------------------
+//
+// The commit tests of Tables 1–2 read only the states of T's own keys, and ▷
+// links only transactions that share a key or a read-from edge. Join every
+// transaction to its keys and to the writers its reads observed; ∃e then
+// splits over the connected components (DESIGN.md §2.14 has the argument):
+//
+//  * restricting any witness to one component keeps every commit-test clause,
+//    the real-time, session and C-ORD clauses included, so a refuted
+//    component refutes the whole history at every level;
+//  * concatenating one witness per component is a witness of the whole
+//    history when no level in play reads timestamps. Real-time order crosses
+//    components, so a timed level only ever refutes here.
+
+/// The key-connected components of a history with more than one, smallest
+/// first (ties by first member), each listing its dense indices in ascending
+/// order; `of_key` maps each key to its component. Empty for one component.
+struct Components {
+  std::vector<std::vector<TxnIdx>> members;
+  std::vector<std::uint32_t> of_key;
+};
+
+Components key_components(const CompiledHistory& ch) {
+  const auto n = static_cast<std::uint32_t>(ch.size());
+  // Union-find over transactions [0, n) and keys [n, n + key_count). A root
+  // is its set's smallest index, so a transaction's root is the first member
+  // of its component.
+  std::vector<std::uint32_t> up(n + ch.key_count());
+  std::iota(up.begin(), up.end(), 0u);
+  const auto root = [&up](std::uint32_t x) {
+    while (up[x] != x) x = up[x] = up[up[x]];
+    return x;
+  };
+  const auto join = [&](std::uint32_t a, std::uint32_t b) {
+    a = root(a);
+    b = root(b);
+    if (a < b) {
+      up[b] = a;
+    } else {
+      up[a] = b;
+    }
+  };
+  for (TxnIdx d = 0; d < n; ++d) {
+    const model::OpsView ops = ch.ops(d);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      join(d, n + ops.key(i));
+      if (ops.writer(i) != model::kNoTxnIdx) join(d, ops.writer(i));
+    }
+  }
+
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot(n, kNone);  // root → component
+  Components out;
+  for (TxnIdx d = 0; d < n; ++d) {
+    std::uint32_t& s = slot[root(d)];
+    if (s == kNone) {
+      s = static_cast<std::uint32_t>(out.members.size());
+      out.members.emplace_back();
+    }
+    out.members[s].push_back(d);
+  }
+  if (out.members.size() <= 1) return {};
+
+  std::stable_sort(out.members.begin(), out.members.end(),
+                   [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  for (std::uint32_t c = 0; c < out.members.size(); ++c) slot[out.members[c].front()] = c;
+  out.of_key.resize(ch.key_count());
+  for (model::KeyIdx k = 0; k < ch.key_count(); ++k) {
+    out.of_key[k] = slot[root(n + k)];  // every interned key has a reader or writer
+  }
+  return out;
+}
+
+std::string in_component(std::size_t m, std::size_t n) {
+  return "in a key-connected component of " + std::to_string(m) + " of " +
+         std::to_string(n) + " transactions: ";
+}
+
+/// Decide ∃e one key-connected component at a time, smallest first, each by
+/// the kAuto dispatch on its own copy of the history. nullopt when the step
+/// does not apply: one component, a version order the whole history rejects
+/// (the search that follows treats it exactly as before), or a timed level
+/// in play with no component refuted.
+///
+/// One node budget: each component gets what the earlier ones left of
+/// opts.max_nodes. With threads > 1 a satisfiable component's node count
+/// depends on scheduling, so it is not charged there; every other outcome
+/// is charged as at threads = 1. The parallel budgets are then never below
+/// the sequential ones, and the CheckOptions::threads determinism contract
+/// carries over: a parallel run never contradicts or loses a definite
+/// sequential verdict.
+std::optional<CheckResult> check_components(const ct::LevelAssignment& levels,
+                                            const CompiledHistory& ch,
+                                            const CheckOptions& opts) {
+  Components comps = key_components(ch);
+  if (comps.members.empty()) return std::nullopt;
+  if (opts.version_order != nullptr) {
+    try {
+      adya::compile_install_orders(ch, opts.version_order);
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+  }
+  using VersionOrder = std::unordered_map<Key, std::vector<TxnId>>;
+  std::vector<std::vector<const VersionOrder::value_type*>> vo_of(comps.members.size());
+  if (opts.version_order != nullptr) {
+    for (const auto& entry : *opts.version_order) {
+      const model::KeyIdx k = ch.keys().find(entry.first);
+      if (k != model::kNoKeyIdx) vo_of[comps.of_key[k]].push_back(&entry);
+    }
+  }
+  bool timed = false;
+  for (TxnIdx d = 0; d < ch.size() && !timed; ++d) {
+    timed = ct::requires_timestamps(levels.of(d));
+  }
+
+  obs::TraceSpan span("check.components");
+  span.field("n", static_cast<std::uint64_t>(ch.size()))
+      .field("components", static_cast<std::uint64_t>(comps.members.size()));
+  // Resolved once: threads = 0 asks the OS for the core count on every call.
+  CheckOptions base = opts;
+  base.threads = opts.resolved_threads();
+  const bool charge_sat = base.threads == 1;
+  std::uint64_t spent = 0, nodes = 0, edges = 0;
+  std::optional<CheckResult> undecided;
+  std::size_t undecided_size = 0;
+  std::vector<std::uint32_t> joined;
+  CheckResult largest;
+  for (std::size_t c = 0; c < comps.members.size(); ++c) {
+    const std::vector<TxnIdx>& members = comps.members[c];
+    std::vector<model::Transaction> part;
+    part.reserve(members.size());
+    for (TxnIdx d : members) part.push_back(ch.txns().at(d));
+    const model::TransactionSet sub(std::move(part));
+    const CompiledHistory sub_ch(sub);
+
+    CheckOptions sub_opts = base;
+    sub_opts.max_nodes = opts.max_nodes - std::min(spent, opts.max_nodes);
+    VersionOrder sub_vo;
+    if (opts.version_order != nullptr) {
+      for (const VersionOrder::value_type* entry : vo_of[c]) sub_vo.insert(*entry);
+      sub_opts.version_order = &sub_vo;
+    }
+    std::vector<IsolationLevel> column;
+    column.reserve(members.size());
+    for (TxnIdx d : members) column.push_back(levels.of(d));
+    const IsolationLevel first = column.front();
+    const ct::LevelAssignment sub_levels(first, std::move(column));
+    CheckResult r = sub_levels.is_uniform()
+                        ? check_dispatch(sub_levels.fallback(), sub_ch, sub_opts)
+                        : check_dispatch(sub_levels, sub_ch, sub_opts);
+    nodes += r.nodes_explored;
+    edges += r.edges_visited;
+
+    if (r.unsatisfiable()) {
+      r.detail = in_component(members.size(), ch.size()) + r.detail;
+      if (r.diagnosis.has_value() && !r.diagnosis->candidate_execution.empty()) {
+        r.diagnosis->candidate_execution += " of its key-connected component";
+      }
+      r.nodes_explored = nodes;
+      r.edges_visited = edges;
+      span.field("visited", static_cast<std::uint64_t>(c + 1)).field("outcome", "unsat");
+      return r;
+    }
+    if (charge_sat || !r.satisfiable()) spent += r.nodes_explored;
+    if (!r.satisfiable()) {
+      if (!undecided.has_value()) {
+        undecided = std::move(r);
+        undecided_size = members.size();
+      }
+      continue;
+    }
+    if (!timed) {
+      for (std::uint32_t sd : r.witness->dense_order()) joined.push_back(members[sd]);
+    }
+    largest = std::move(r);
+  }
+  span.field("visited", static_cast<std::uint64_t>(comps.members.size()));
+  if (timed) {
+    span.field("outcome", "fall-through");
+    return std::nullopt;
+  }
+  if (undecided.has_value()) {
+    span.field("outcome", "unknown");
+    undecided->detail = in_component(undecided_size, ch.size()) + undecided->detail;
+    undecided->nodes_explored = nodes;
+    undecided->edges_visited = edges;
+    return undecided;
+  }
+
+  model::Execution e = model::Execution::from_dense(ch.txns(), std::move(joined), ch.ids());
+  CheckResult r{Outcome::kUnknown, std::nullopt, "", nodes};
+  r.edges_visited = edges;
+  r.engine = largest.engine;
+  if (ct::ExecutionVerdict v = verify_witness(levels, ch, e); !v.ok) {
+    r.detail = "internal: joined component witnesses failed verification (" +
+               v.explanation + ")";
+  } else {
+    r.outcome = Outcome::kSatisfiable;
+    r.witness = std::move(e);
+    r.detail = "witness joined from " + std::to_string(comps.members.size()) +
+               " key-connected components; the largest, " +
+               std::to_string(comps.members.back().size()) + " of " +
+               std::to_string(ch.size()) + " transactions: " + largest.detail;
+  }
+  span.field("outcome", engine_obs::outcome_word(r.outcome));
+  return r;
+}
+
+CheckResult check_dispatch(IsolationLevel level, const CompiledHistory& ch,
                            const CheckOptions& opts) {
   // Explicit engine selection bypasses the tiering and reports the chosen
   // engine's verdict as-is (possibly kUnknown — forcing is honest, never a
@@ -529,6 +794,9 @@ CheckResult check_dispatch(IsolationLevel level, const CompiledHistory& ch,
     }
   }
 
+  // Key-connected components: decide each on its own, smallest first.
+  if (auto r = check_components(level, ch, opts)) return *std::move(r);
+
   // Last resort: bounded exhaustive search may still find a witness quickly
   // (the candidate ordering starts from commit order).
   return check_exhaustive(level, ch, opts);
@@ -538,7 +806,8 @@ CheckResult check_dispatch(IsolationLevel level, const CompiledHistory& ch,
 /// every level present is direct-eligible, the decisive graph path when the
 /// whole assignment pins C-ORD, then the complete exhaustive search (bounded
 /// by the threshold), with the graph engine's meet-refutation/heuristic tier
-/// covering large instances before the final exhaustive resort.
+/// and the component step covering large instances before the final
+/// exhaustive resort.
 CheckResult check_dispatch(const ct::LevelAssignment& levels,
                            const CompiledHistory& ch, const CheckOptions& opts) {
   switch (opts.engine) {
@@ -564,6 +833,7 @@ CheckResult check_dispatch(const ct::LevelAssignment& levels,
   }
   CheckResult r = check_graph(levels, ch, opts);
   if (r.outcome != Outcome::kUnknown) return r;
+  if (auto split = check_components(levels, ch, opts)) return *std::move(split);
   return check_exhaustive(levels, ch, opts);
 }
 

@@ -5,6 +5,7 @@
 
 #include "adya/phenomena.hpp"
 #include "forensics/collector.hpp"
+#include "model/compiled.hpp"
 #include "report/forensics_render.hpp"
 
 namespace crooks::report {
@@ -68,10 +69,13 @@ AuditResult audit_impl(const Observations& obs, const checker::CheckOptions& bas
     replay->append_all(obs.txns);
   }
 
+  // One compilation serves all eleven checks below; the TransactionSet
+  // overloads would compile the whole history again for each.
+  const model::CompiledHistory ch(obs.txns);
   std::vector<ct::IsolationLevel> passing;
   std::optional<model::Execution> strongest_witness;
   for (ct::IsolationLevel level : ct::kAllLevels) {
-    const checker::CheckResult r = checker::check(level, obs.txns, opts);
+    const checker::CheckResult r = checker::check(level, ch, opts);
     if (replay.has_value()) {
       engine_lines +=
           engine_exemplar_line(replay->stream(), r, level, ct::name_of(level));
@@ -154,7 +158,7 @@ AuditResult audit_impl(const Observations& obs, const checker::CheckOptions& bas
     out << "  level groups:";
     for (const auto& [l, n] : groups) out << "  " << ct::name_of(l) << " ×" << n;
     out << "\n";
-    const checker::CheckResult r = checker::check(assignment, obs.txns, opts);
+    const checker::CheckResult r = checker::check(assignment, ch, opts);
     out << "  " << verdict_word(r) << "  " << assignment.describe() << "\n";
     if (!r.satisfiable() && !r.detail.empty()) out << "        " << r.detail << "\n";
     if (r.unsatisfiable() && r.diagnosis.has_value()) {

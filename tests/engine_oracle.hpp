@@ -17,7 +17,8 @@
 //     refuted a different history than the one it was given.
 //
 // The exhaustive engine itself answers to definition_verdicts() below: the
-// paper's Definition 5 decided by trying every order.
+// paper's Definition 5 decided by trying every order. join_disjoint() builds
+// the multi-component inputs that check()'s component step splits.
 //
 // The classic anomaly × level scenarios (anomaly_matrix_test.cpp's table)
 // live here too, so engine suites can re-run them without duplicating it.
@@ -117,6 +118,49 @@ inline bool definition_holds(const ct::LevelAssignment& levels,
     return !sat;
   });
   return sat;
+}
+
+/// Two sub-histories joined into one in which no key or read-from edge
+/// links a transaction of `a` to one of `b`: b's ids, observed writers and
+/// keys are shifted past a's, and the two version orders are merged. The
+/// transactions interleave a, b, a, b, … in declaration order, and
+/// timestamps, sessions and level annotations are kept, so dense order,
+/// real-time order and session order all still cross the two halves. Keep
+/// the total within kDefinitionMaxTxns to decide the result by enumeration.
+struct JoinedHistory {
+  model::TransactionSet txns;
+  VersionOrder version_order;
+};
+
+inline JoinedHistory join_disjoint(const model::TransactionSet& a,
+                                   const VersionOrder& a_vo,
+                                   const model::TransactionSet& b,
+                                   const VersionOrder& b_vo) {
+  constexpr std::uint64_t kShift = 10'000;  // past the fuzzer's ids and keys
+  const auto shifted = [](TxnId id) {
+    return id == kInitTxn ? id : TxnId{id.value + kShift};
+  };
+  std::vector<model::Transaction> bs;
+  for (const model::Transaction& t : b) {
+    std::vector<model::Operation> ops = t.ops();
+    for (model::Operation& op : ops) {
+      op.key = Key{op.key.value + kShift};
+      op.value.writer = shifted(op.value.writer);
+    }
+    bs.emplace_back(shifted(t.id()), std::move(ops), t.session(), t.site(),
+                    t.start_ts(), t.commit_ts(), t.level());
+  }
+  std::vector<model::Transaction> txns;
+  for (std::size_t i = 0; i < std::max(a.size(), bs.size()); ++i) {
+    if (i < a.size()) txns.push_back(a.at(i));
+    if (i < bs.size()) txns.push_back(std::move(bs[i]));
+  }
+  JoinedHistory j{model::TransactionSet(std::move(txns)), a_vo};
+  for (const auto& [key, installers] : b_vo) {
+    std::vector<TxnId>& out = j.version_order[Key{key.value + kShift}];
+    for (TxnId id : installers) out.push_back(shifted(id));
+  }
+  return j;
 }
 
 /// The outcome an engine must report for `level` given the definition's

@@ -4,10 +4,12 @@
 //
 // Reads observations (see src/report/serialize.hpp for the format) from FILE
 // or stdin and prints an isolation audit. Exit status: 0 when the requested
-// level (or, by default, the weakest level ReadUncommitted) is satisfied,
-// 1 on violation, 2 on usage/parse errors — including malformed or unknown
-// isolation-level names, whether in --level/--levels or in the input's
-// `level=` annotations (the error names every valid spelling).
+// level (or, by default, the weakest level ReadUncommitted) is satisfied;
+// 1 on violation, and offline also when the check is UNDECIDED (a search
+// out of budget; the verdict line says which); 2 on usage/parse errors,
+// including malformed or unknown isolation-level names, whether in
+// --level/--levels or in the input's `level=` annotations (the error names
+// every valid spelling).
 //
 // When the input carries `level=` annotations (or a `default-level`
 // directive), or --levels is given, the single-verdict mode audits the
